@@ -3,7 +3,8 @@
 Words are given positionally in either text encoding; the alphabet size is
 always ``--gens``.  ``--len`` is a word length, never an alphabet size.  The
 empty word prints as ``1`` in text output; JSON output uses the empty string.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, and 141 (as for
+a command that SIGPIPE ends) when the reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import numpy as np
@@ -62,7 +64,7 @@ def cmd_cyclic_reduce(args) -> int:
 def cmd_good_rotations(args) -> int:
     w = _word_of(args)
     rot = words.good_rotations(w)
-    k = len(words.cyclic_reduce(w))
+    k = len(rot)
     _emit(args, {"word": str(w), "k": k, "rotations": rot}, f"k={k} rotations={rot}")
     return 0
 
@@ -388,10 +390,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Python's recipe: the flush at exit then writes to devnull, not the closed pipe.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

@@ -114,37 +114,30 @@ class Census:
         ]
 
 
-def _letters_to_key(letters: tuple[int, ...], alphabet_size: int) -> str:
-    if alphabet_size <= 26:
-        return "".join(
-            chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1) for l in letters
-        )
-    return json.dumps(list(letters))
-
-
 def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> dict[str, int]:
     """Tally standard reductions for word indices in [start, stop).
 
     Words are indexed by a mixed-radix counter over the 2N letters, most
     significant digit first, so a range maps to a contiguous slab of words.
+    Tallies are kept on letter tuples; each class is rendered to text once.
     """
     radix = 2 * alphabet_size
     symbols = [d + 1 if d < alphabet_size else alphabet_size - 1 - d for d in range(radix)]
-    counts: dict[str, int] = {}
+    counts: dict[tuple[int, ...], int] = {}
     digits = [0] * n
     rest = start
     for pos in range(n - 1, -1, -1):
         rest, digits[pos] = divmod(rest, radix)
     for _ in range(start, stop):
         letters = tuple(symbols[d] for d in digits)
-        key = _letters_to_key(_standard_reduction_letters(letters), alphabet_size)
+        key = _standard_reduction_letters(letters)
         counts[key] = counts.get(key, 0) + 1
         for pos in range(n - 1, -1, -1):
             digits[pos] += 1
             if digits[pos] < radix:
                 break
             digits[pos] = 0
-    return counts
+    return {word_to_text(Word(alphabet_size, key)): count for key, count in counts.items()}
 
 
 _CENSUS_CACHE: dict[tuple[int, int], Census] = {}

@@ -19,17 +19,11 @@ Indices are 1-based throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .words import (
-    Word,
-    cyclic_reduce,
-    _has_good_reduction,
-    _reduce,
-    _reduce_with_partners,
-)
+from .words import Word, _good_reduction, cyclic_reduce
 
 OUT = "out"
 IN = "in"
@@ -60,6 +54,34 @@ class HalfPairing:
 
     def blocks(self) -> list[tuple[int, ...]]:
         return sorted([(s,) for s in self.singletons] + [tuple(p) for p in self.pairs])
+
+    @cached_property
+    def _covers(self) -> frozenset[tuple[int, int]]:
+        outs = _out_points(self)
+        partner: dict[int, int] = {}
+        for a, b in self.pairs:
+            partner[a] = b
+            partner[b] = a
+        n = self.n
+        covers = set()
+        for i in outs:
+            for j in outs:
+                if i == j:
+                    continue
+                gap = (j - i - 1) % n
+                if gap == 0:
+                    covers.add((i, j))
+                    continue
+                internal = True
+                for d in range(1, gap + 1):
+                    t = (i + d - 1) % n + 1
+                    q = partner.get(t)
+                    if q is None or not ((q - i - 1) % n) < gap:
+                        internal = False
+                        break
+                if internal:
+                    covers.add((i, j))
+        return frozenset(covers)
 
 
 def _invalid_reason(
@@ -108,17 +130,11 @@ def is_half_pairing(n: int, blocks: Iterable[Iterable[int]]) -> bool:
     return _invalid_reason(n, pairs, singletons) is None
 
 
-@lru_cache(maxsize=None)
 def _out_points(p: HalfPairing) -> frozenset[int]:
-    outs = set(p.singletons)
-    for a, b in p.pairs:
-        # Clockwise from a to b is the stretch a+1..b-1; the out endpoint is
-        # the one whose following stretch holds no singleton.
-        if any(a < s < b for s in p.singletons):
-            outs.add(b)
-        else:
-            outs.add(a)
-    return frozenset(outs)
+    # The out endpoint of a chord is the one whose clockwise stretch to the
+    # other holds no singleton.  No chord separates the singletons: one will do.
+    s = next(iter(p.singletons))
+    return p.singletons | {b if a < s < b else a for a, b in p.pairs}
 
 
 def orientations(p: HalfPairing) -> dict[int, str]:
@@ -127,38 +143,14 @@ def orientations(p: HalfPairing) -> dict[int, str]:
     return {i: (OUT if i in outs else IN) for i in range(1, p.n + 1)}
 
 
-@lru_cache(maxsize=None)
 def cover_relation(p: HalfPairing) -> frozenset[tuple[int, int]]:
     """All ordered pairs (i, j) of out-points where i covers j.
 
     i covers j when j immediately follows i clockwise, or everything strictly
-    between them (clockwise) is paired within that stretch.
+    between them (clockwise) is paired within that stretch.  Computed once
+    per pairing.
     """
-    outs = _out_points(p)
-    partner: dict[int, int] = {}
-    for a, b in p.pairs:
-        partner[a] = b
-        partner[b] = a
-    n = p.n
-    covers = set()
-    for i in outs:
-        for j in outs:
-            if i == j:
-                continue
-            gap = (j - i - 1) % n
-            if gap == 0:
-                covers.add((i, j))
-                continue
-            internal = True
-            for d in range(1, gap + 1):
-                t = (i + d - 1) % n + 1
-                q = partner.get(t)
-                if q is None or not ((q - i - 1) % n) < gap:
-                    internal = False
-                    break
-            if internal:
-                covers.add((i, j))
-    return frozenset(covers)
+    return p._covers
 
 
 def _is_rotation_of(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -202,23 +194,13 @@ def admissible_half_pairing(w: Word, rotation: int | None = None) -> HalfPairing
     singletons, and map the indices back.  The result does not depend on which
     good rotation is used; ``rotation`` can force a specific one.
     """
-    letters = w.letters
-    n = len(letters)
+    n = len(w.letters)
     if n == 0:
         raise ValueError("the empty word has no half-pairing")
-    doubled = letters + letters
-    if rotation is None:
-        for r in range(n):
-            if _has_good_reduction(doubled[r : r + n]):
-                rotation = r
-                break
-        else:
-            raise ValueError("word reduces to the identity; no half-pairing exists")
-    else:
-        rotation %= n
-        if not _has_good_reduction(doubled[rotation : rotation + n]):
-            raise ValueError(f"rotation {rotation} does not have good reduction")
-    survivors, partners = _reduce_with_partners(doubled[rotation : rotation + n])
+    found = _good_reduction(w.letters, rotation)
+    if found is None:
+        raise ValueError("word reduces to the identity; no half-pairing exists")
+    rotation, survivors, partners = found
     back = lambda j: (rotation + j) % n + 1
     return HalfPairing(
         n,
@@ -234,33 +216,17 @@ def standard_cyclic_reduction(w: Word) -> Word:
     the one ``cyclic_reduce`` returns.  Words reducible to the identity reduce
     to the empty word by convention.
     """
-    if len(cyclic_reduce(w).letters) == 0:
-        return Word(w.alphabet_size, ())
-    p = admissible_half_pairing(w)
-    return Word(w.alphabet_size, tuple(w.letters[i - 1] for i in sorted(p.singletons)))
+    return Word(w.alphabet_size, _standard_reduction_letters(w.letters))
 
 
 def _standard_reduction_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """standard_cyclic_reduction on a raw letter tuple, skipping object overhead.
-
-    Used by the exhaustive census, where the admissible pairing itself is not
-    needed, only its through-string letters.
-    """
-    reduced = _reduce(letters)
-    lo, hi = 0, len(reduced)
-    while hi - lo >= 2 and reduced[lo] == -reduced[hi - 1]:
-        lo += 1
-        hi -= 1
-    if hi == lo:
+    """standard_cyclic_reduction on a raw letter tuple; the census calls it per word."""
+    found = _good_reduction(letters)
+    if found is None:
         return ()
+    rotation, survivors, _ = found
     n = len(letters)
-    doubled = letters + letters
-    for r in range(n):
-        if _has_good_reduction(doubled[r : r + n]):
-            break
-    survivors, _ = _reduce_with_partners(doubled[r : r + n])
-    positions = sorted((r + j) % n for j in survivors)
-    return tuple(letters[pos] for pos in positions)
+    return tuple(letters[i] for i in sorted((rotation + j) % n for j in survivors))
 
 
 @dataclass(frozen=True)

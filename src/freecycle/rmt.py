@@ -7,8 +7,9 @@ of centered traces of polynomials in X.  The diagonalization report checks
 statistically that the exact polynomial family from :mod:`.polynomials` kills
 the off-diagonal covariances while plain monomials do not.
 
-Every trial draws from its own child stream of the master seed, so results
-are reproducible bit for bit regardless of how trials are scheduled.
+Every trial draws from its own child stream of the master seed, so the draws
+do not depend on how trials are scheduled.  Results are reproducible bit for
+bit only at a fixed BLAS thread count: changing it can move the last digits.
 """
 
 from __future__ import annotations

@@ -84,7 +84,8 @@ def parse_word(text: str, alphabet_size: int) -> Word:
             values = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed word {text!r}: {exc}") from exc
-        if not isinstance(values, list) or not all(isinstance(v, int) for v in values):
+        # type() rather than isinstance(): JSON true/false load as bool, a subclass of int.
+        if not isinstance(values, list) or not all(type(v) is int for v in values):
             raise ValueError(f"malformed word {text!r}: expected a JSON array of integers")
         return Word(alphabet_size, tuple(values))
     letters = []
@@ -211,19 +212,48 @@ def has_good_reduction(w: Word) -> bool:
     return _has_good_reduction(w.letters)
 
 
+def _good_reduction(
+    letters: tuple[int, ...], rotation: int | None = None
+) -> tuple[int, list[int], list[tuple[int, int]]] | None:
+    """The first good rotation r, or ``rotation`` if it is good, with its reduction.
+
+    Returns None if the word reduces to 1, else r and ``_reduce_with_partners``
+    of the rotated word, whose position j is letter (r + j) mod n of the word.
+    By the cycle lemma the survivors (through strings) start the good rotations.
+    """
+    if not _reduce(letters):
+        return None
+    n = len(letters)
+    doubled = letters + letters
+    if rotation is None:
+        # Some rotation is good whenever the word does not reduce to 1.
+        for rotation in range(n):
+            if _has_good_reduction(doubled[rotation : rotation + n]):
+                break
+    else:
+        rotation %= n
+        if not _has_good_reduction(doubled[rotation : rotation + n]):
+            raise ValueError(f"rotation {rotation} does not have good reduction")
+    survivors, pairs = _reduce_with_partners(doubled[rotation : rotation + n])
+    return rotation, survivors, pairs
+
+
 def good_rotations(w: Word) -> list[int]:
     """Sorted offsets r whose rotation has good reduction.
 
     There are always exactly as many such offsets as there are letters in a
     cyclic reduction of ``w``; in particular the list is empty iff the word
-    reduces to the identity.
+    reduces to the identity.  They are read off one good rotation: each is
+    the position of a letter that survives its reduction (a through string).
     """
     if not w.letters:
         raise ValueError("good rotations are undefined for the empty word")
-    letters = w.letters
-    n = len(letters)
-    doubled = letters + letters
-    return [r for r in range(n) if _has_good_reduction(doubled[r : r + n])]
+    found = _good_reduction(w.letters)
+    if found is None:
+        return []
+    rotation, survivors, _ = found
+    n = len(w.letters)
+    return sorted((rotation + j) % n for j in survivors)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,26 @@ def brute_force_half_pairings(n: int) -> list[HalfPairing]:
     return found
 
 
+def naive_good_rotations(w: Word) -> list[int]:
+    """Offsets r whose rotation has good reduction, testing every rotation:
+    no nonempty prefix reduces to 1, and the reduction's end letters do not cancel."""
+    letters = w.letters
+    good = []
+    for r in range(len(letters)):
+        stack: list[int] = []
+        for l in letters[r:] + letters[:r]:
+            if stack and stack[-1] == -l:
+                stack.pop()
+                if not stack:
+                    break
+            else:
+                stack.append(l)
+        else:
+            if stack[0] != -stack[-1]:
+                good.append(r)
+    return good
+
+
 def naive_cover_relation(p: HalfPairing) -> set[tuple[int, int]]:
     """Covers from explicit interval lists: no singleton inside, no pair straddling."""
     from freecycle.pairings import _out_points

@@ -32,7 +32,7 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import brute_force_half_pairings
+from oracles import brute_force_half_pairings, naive_good_rotations
 
 MOMENT_SEED = 12345
 DIAGONALIZATION_SEED = 67890
@@ -49,7 +49,9 @@ def test_criterion_1_cycle_lemma_exhaustive():
     for n_gens, n_max in ((1, 10), (2, 8)):
         for n in range(1, n_max + 1):
             for w in _all_words(n_gens, n):
-                assert len(good_rotations(w)) == len(cyclic_reduce(w))
+                rotations = good_rotations(w)
+                assert rotations == naive_good_rotations(w)
+                assert len(rotations) == len(cyclic_reduce(w))
                 checked += 1
     print(f"ACCEPTANCE 1 PASS: cycle lemma exact on {checked} words "
           "(N=1 n<=10, N=2 n<=8, exhaustive)")

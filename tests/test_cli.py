@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import freecycle
 from freecycle import half_pairing_from_json, parse_word
 from freecycle.cli import main
 
@@ -165,3 +169,23 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reduce"])  # missing word and --gens
     assert exc.value.code == 2
+
+
+def test_reduce_rejects_json_boolean(capsys):
+    code, out, err = run(capsys, "reduce", "[true, 2]", "--gens", "2", "--json")
+    assert (code, out) == (2, "") and "malformed" in err
+
+
+def test_closed_stdout_leaves_no_traceback():
+    # 3003 lines overflow the pipe buffer, so the write after close must fail
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "freecycle.cli", "enumerate-pairings", "--len", "14", "--through", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"count=3003\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    with proc.stderr:
+        err = proc.stderr.read().decode()
+    assert "Traceback" not in err and "Exception ignored" not in err

@@ -22,7 +22,7 @@ from freecycle import (
 )
 from freecycle.words import periodicity_bound
 
-from oracles import is_dominating, naive_linear_reduce
+from oracles import is_dominating, naive_good_rotations, naive_linear_reduce
 from strategies import free_words, nonvanishing_words
 
 
@@ -64,6 +64,12 @@ class TestParse:
             parse_word("[1, oops]", 2)
         with pytest.raises(ValueError, match="malformed"):
             parse_word("a b", 2)
+
+    def test_json_booleans_rejected(self):
+        # JSON true loads as a Python bool, which is an int subclass
+        for text in ("[true, 2]", "[false]", "[1, true]"):
+            with pytest.raises(ValueError, match="malformed"):
+                parse_word(text, 2)
 
     def test_word_invariants(self):
         with pytest.raises(ValueError):
@@ -180,7 +186,9 @@ class TestGoodRotations:
             for n in range(1, 6):
                 for letters in product(alphabet, repeat=n):
                     w = Word(n_gens, letters)
-                    assert len(good_rotations(w)) == len(cyclic_reduce(w))
+                    rotations = good_rotations(w)
+                    assert rotations == naive_good_rotations(w)
+                    assert len(rotations) == len(cyclic_reduce(w))
 
     def test_cycle_lemma_random_battery(self):
         rng = random.Random(0xFC0)
@@ -191,7 +199,9 @@ class TestGoodRotations:
                 rng.randint(1, n_gens) * rng.choice((1, -1)) for _ in range(n)
             )
             w = Word(n_gens, letters)
-            assert len(good_rotations(w)) == len(cyclic_reduce(w))
+            rotations = good_rotations(w)
+            assert rotations == naive_good_rotations(w)
+            assert len(rotations) == len(cyclic_reduce(w))
 
     def test_single_generator_matches_dominating_strings(self):
         from itertools import product
