@@ -101,7 +101,8 @@ def cmd_decompose(args) -> int:
 def cmd_pairing(args) -> int:
     w = _word_of(args)
     p = pairings.admissible_half_pairing(w)
-    reduction = pairings.standard_cyclic_reduction(w)
+    # The standard reduction is the letters at the through strings, in index order.
+    reduction = words.Word(w.alphabet_size, tuple(w.letters[i - 1] for i in sorted(p.singletons)))
     payload = {
         "word": str(w),
         "k": len(reduction),
@@ -160,7 +161,7 @@ def cmd_kesten(args) -> int:
 
 
 def cmd_census(args) -> int:
-    tally = counting.census(args.len, args.gens, budget=args.budget, jobs=args.threads)
+    tally = counting.census(args.len, args.gens, budget=args.budget, jobs=args.jobs)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -224,7 +225,7 @@ def cmd_rmt(args) -> int:
         seed=seed,
         z_threshold=args.z_threshold,
     )
-    samples = rmt.sample_traces(cfg, threads=args.threads)
+    samples = rmt.sample_traces(cfg)
     moments = []
     for p in range(1, cfg.max_power + 1):
         est, se = rmt.estimate_moment(samples, p)
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--len", type=int, required=True)
     sp.add_argument("--gens", type=int, required=True)
     sp.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
-    sp.add_argument("--threads", type=int, default=1)
+    sp.add_argument("--jobs", type=int, default=1, help="worker processes")
     sp.add_argument("--csv", metavar="PATH", default=None)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(handler=cmd_census)
@@ -376,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--max-power", type=int, default=6)
     sp.add_argument("--seed", type=int, default=None, help="omit to draw one (echoed)")
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--z-threshold", type=float, default=4.0)
     sp.add_argument("--k-max", type=int, default=None, help="0 disables the diagonalization check")
     sp.add_argument("--csv", metavar="PATH", default=None)

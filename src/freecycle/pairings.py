@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .words import Word, _good_reduction, cyclic_reduce
+from .words import Word, _good_reduction, cyclic_reduce, is_cyclically_reduced
 
 OUT = "out"
 IN = "in"
@@ -96,18 +96,25 @@ def _invalid_reason(
         return f"blocks do not partition 1..{n}"
     if not singletons:
         return "a half-pairing needs at least one singleton (through string)"
-    pair_list = sorted(pairs)
-    for (a, b), (c, d) in combinations(pair_list, 2):
-        if (a < c < b < d) or (c < a < d < b):
-            return f"pairs {(a, b)} and {(c, d)} cross"
-    # Merging the singletons must also stay non-crossing: no chord may have
-    # singletons strictly on both sides.
-    for a, b in pair_list:
-        inside = any(a < s < b for s in singletons)
-        outside = any(s < a or s > b for s in singletons)
-        if inside and outside:
-            return f"pair {(a, b)} separates the through strings"
-    return None
+    # One bracket pass: a chord that does not close the innermost open chord
+    # crosses it.  The merged singletons must not cross a chord either, so a
+    # chord holds none or all of them.
+    mate = dict(pairs) | {b: a for a, b in pairs}
+    opened: list[tuple[int, int]] = []  # (open point, singletons before it)
+    passed, separating = 0, None
+    for i in range(1, n + 1):
+        a = mate.get(i, 0)
+        if not a:
+            passed += 1
+        elif a > i:
+            opened.append((i, passed))
+        else:
+            c, before = opened.pop()
+            if c != a:
+                return f"pairs {(a, i)} and {(c, mate[c])} cross"
+            if separating is None and 0 < passed - before < len(singletons):
+                separating = f"pair {(a, i)} separates the through strings"
+    return separating
 
 
 def is_half_pairing(n: int, blocks: Iterable[Iterable[int]]) -> bool:
@@ -170,12 +177,8 @@ def is_word_pairing(w: Word, p: HalfPairing) -> bool:
     for a, b in p.pairs:
         if letters[a - 1] != -letters[b - 1]:
             return False
-    through = tuple(letters[i - 1] for i in sorted(p.singletons))
-    if any(through[i] == -through[i + 1] for i in range(len(through) - 1)):
-        return False
-    if len(through) > 1 and through[0] == -through[-1]:
-        return False
-    return _is_rotation_of(through, cyclic_reduce(w).letters)
+    through = Word(w.alphabet_size, tuple(letters[i - 1] for i in sorted(p.singletons)))
+    return is_cyclically_reduced(through) and _is_rotation_of(through.letters, cyclic_reduce(w).letters)
 
 
 def is_word_admissible(w: Word, p: HalfPairing) -> bool:

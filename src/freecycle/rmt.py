@@ -7,15 +7,14 @@ of centered traces of polynomials in X.  The diagonalization report checks
 statistically that the exact polynomial family from :mod:`.polynomials` kills
 the off-diagonal covariances while plain monomials do not.
 
-Every trial draws from its own child stream of the master seed, so the draws
-do not depend on how trials are scheduled.  Results are reproducible bit for
+Every trial draws from its own child stream of the master seed, so its draws
+depend only on the seed and its index.  Results are reproducible bit for
 bit only at a fixed BLAS thread count: changing it can move the last digits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +85,7 @@ class TraceSamples:
         return out
 
 
-def sample_traces(cfg: SimConfig, threads: int = 1) -> TraceSamples:
+def sample_traces(cfg: SimConfig) -> TraceSamples:
     """Run all trials and record Tr(X^p) for p = 1..max_power.
 
     X is Hermitian by construction, so one eigendecomposition per trial gives
@@ -97,7 +96,7 @@ def sample_traces(cfg: SimConfig, threads: int = 1) -> TraceSamples:
     traces = np.zeros((cfg.trials, cfg.max_power))
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
 
-    def run_trial(t: int) -> None:
+    for t in range(cfg.trials):
         rng = np.random.default_rng(streams[t])
         x = np.zeros((m, m), dtype=complex)
         for _ in range(cfg.alphabet_size):
@@ -105,13 +104,6 @@ def sample_traces(cfg: SimConfig, threads: int = 1) -> TraceSamples:
             x += u + u.conj().T
         eig = np.linalg.eigvalsh(x)
         traces[t] = np.sum(eig[:, None] ** powers, axis=0)
-
-    if threads <= 1:
-        for t in range(cfg.trials):
-            run_trial(t)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(cfg.trials)))
     return TraceSamples(cfg, traces)
 
 
@@ -237,6 +229,6 @@ def diagonalization_from_samples(samples: TraceSamples, k_max: int) -> Diagonali
     )
 
 
-def diagonalization_report(cfg: SimConfig, k_max: int, threads: int = 1) -> DiagonalizationReport:
+def diagonalization_report(cfg: SimConfig, k_max: int) -> DiagonalizationReport:
     """Sample under ``cfg`` and test the diagonalization claim at its z threshold."""
-    return diagonalization_from_samples(sample_traces(cfg, threads), k_max)
+    return diagonalization_from_samples(sample_traces(cfg), k_max)

@@ -27,6 +27,13 @@ def naive_linear_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(out)
 
 
+def naive_profile(w: Word, horizon: int) -> tuple[int, ...]:
+    """Reduction lengths of the first 1..horizon letters of w w w ..., each
+    prefix reduced from scratch by rewriting."""
+    repeated = w.letters * (horizon // len(w.letters) + 1)
+    return tuple(len(naive_linear_reduce(repeated[:i])) for i in range(1, horizon + 1))
+
+
 def is_dominating(signs: list[int]) -> bool:
     """Every partial sum of the +/-1 string is strictly positive."""
     total = 0

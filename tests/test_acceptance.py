@@ -170,7 +170,7 @@ def test_criterion_8_rmt_moments():
     cfg = SimConfig(
         matrix_size=200, alphabet_size=2, trials=500, max_power=6, seed=MOMENT_SEED
     )
-    samples = sample_traces(cfg, threads=2)
+    samples = sample_traces(cfg)
     rows = []
     for p in range(1, 7):
         est, se = estimate_moment(samples, p)
@@ -190,7 +190,7 @@ def test_criterion_9_rmt_diagonalization():
         seed=DIAGONALIZATION_SEED,
         z_threshold=4.0,
     )
-    samples = sample_traces(cfg, threads=2)
+    samples = sample_traces(cfg)
     report = diagonalization_from_samples(samples, 4)
     offdiag = [
         abs(report.basis_z[i][j]) for i in range(4) for j in range(4) if i != j

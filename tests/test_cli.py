@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import freecycle
-from freecycle import half_pairing_from_json, parse_word
+from freecycle import counting, half_pairing_from_json, parse_word
 from freecycle.cli import main
 
 
@@ -42,6 +42,11 @@ def test_profile(capsys):
     code, out, _ = run(capsys, "profile", "aaAbbBAA", "--gens", "2")
     assert code == 0
     assert out.splitlines()[0] == "k=2 period_start=3"
+
+
+def test_profile_refuses_oversized_horizon(capsys):
+    code, out, err = run(capsys, "profile", "a" * 5001 + "A" * 5000, "--gens", "1")
+    assert (code, out) == (2, "") and "exceeds the limit" in err
 
 
 def test_decompose(capsys):
@@ -89,16 +94,19 @@ def test_kesten(capsys):
     assert (code, out) == (0, "28")
 
 
-def test_census_text_json_csv(capsys, tmp_path):
+def test_census_text_json_csv(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "census", "--len", "3", "--gens", "1")
     assert code == 0
     assert out.splitlines()[-1] == "total=8 classes=4"
 
-    code, out, _ = run(capsys, "census", "--len", "4", "--gens", "2", "--json")
-    data = json.loads(out)
-    assert code == 0
-    assert data["counts"][""] == 28
-    assert data["counts"]["ab"] == 12
+    # an empty cache, so that --jobs 2 runs its worker processes
+    monkeypatch.setattr(counting, "_CENSUS_CACHE", {})
+    for extra in (["--jobs", "2"], []):
+        code, out, _ = run(capsys, "census", "--len", "4", "--gens", "2", *extra, "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert data["counts"][""] == 28
+        assert data["counts"]["ab"] == 12
 
     path = tmp_path / "census.csv"
     code, _, _ = run(capsys, "census", "--len", "4", "--gens", "2", "--csv", str(path))

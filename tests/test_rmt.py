@@ -61,10 +61,6 @@ class TestSampleTraces:
         b = sample_traces(cfg)
         assert np.array_equal(a.traces, b.traces)
 
-    def test_thread_count_does_not_change_results(self):
-        cfg = _config(trials=16)
-        assert np.array_equal(sample_traces(cfg).traces, sample_traces(cfg, threads=2).traces)
-
     def test_x_is_hermitian_with_bounded_spectrum(self):
         rng = np.random.default_rng(4)
         m, n_gens = 40, 2

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,19 @@ from freecycle import (
     standard_decomposition,
     word_to_text,
 )
-from freecycle.words import periodicity_bound
+from freecycle.words import MAX_PROFILE_HORIZON, periodicity_bound
 
-from oracles import is_dominating, naive_good_rotations, naive_linear_reduce
+from oracles import is_dominating, naive_good_rotations, naive_linear_reduce, naive_profile
 from strategies import free_words, nonvanishing_words
+
+
+def all_words(max_len: int = 6, max_gens: int = 2):
+    """Every word of length 0..max_len over 1..max_gens generators."""
+    for n_gens in range(1, max_gens + 1):
+        alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
+        for n in range(max_len + 1):
+            for letters in product(alphabet, repeat=n):
+                yield Word(n_gens, letters)
 
 
 class TestLetter:
@@ -150,6 +160,12 @@ class TestReducibleToOne:
     def test_examples(self, text, expected):
         assert is_reducible_to_one(parse_word(text, 2)) is expected
 
+    def test_matches_rewriting_oracle_exhaustive(self):
+        for w in all_words():
+            reduced = naive_linear_reduce(w.letters)
+            assert linear_reduce(w).letters == reduced
+            assert is_reducible_to_one(w) == (reduced == ())
+
 
 class TestGoodReduction:
     def test_examples(self):
@@ -158,6 +174,13 @@ class TestGoodReduction:
         # no prefix reduces to 1, but the linear reduction abAA is not
         # cyclically reduced
         assert has_good_reduction(parse_word("aaAbbBAA", 2)) is False
+
+    def test_matches_rotation_oracle_exhaustive(self):
+        for w in all_words():
+            if w.letters:
+                good = naive_good_rotations(w)
+                for r in range(len(w)):
+                    assert has_good_reduction(rotate(w, r)) == (r in good)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -247,6 +270,20 @@ class TestReductionProfile:
         with pytest.raises(ValueError, match="horizon"):
             reduction_profile(parse_word("aab", 2), horizon=5)
 
+    def test_refuses_oversized_horizon(self):
+        # k = 1 and n = 10001: the default horizon asks for about 2 * 10**8 values
+        w = parse_word("a" * 5001 + "A" * 5000, 1)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            reduction_profile(w)
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            reduction_profile(parse_word("a", 1), horizon=MAX_PROFILE_HORIZON + 1)
+
+    def test_matches_prefix_oracle_exhaustive(self):
+        for w in all_words():
+            if w.letters and cyclic_reduce(w).letters:
+                profile = reduction_profile(w)
+                assert profile.values == naive_profile(w, profile.horizon)
+
     @settings(max_examples=60)
     @given(nonvanishing_words(max_len=16))
     def test_profile_properties(self, w):
@@ -285,6 +322,16 @@ class TestStandardDecomposition:
     def test_vanishing_word(self):
         d = standard_decomposition(parse_word("aA", 1))
         assert (str(d.prefix), str(d.core), str(d.suffix)) == ("a", "", "A")
+
+    def test_matches_rewriting_oracle_exhaustive(self):
+        for w in all_words():
+            d = standard_decomposition(w)
+            assert d.word == w
+            assert naive_linear_reduce(d.prefix.letters + d.suffix.letters) == ()
+            core = d.core.letters
+            for i in range(1, len(core) + 1):
+                assert naive_linear_reduce(core[:i]) != ()
+                assert naive_linear_reduce(core[-i:]) != ()
 
     @given(free_words())
     def test_invariants(self, w):
