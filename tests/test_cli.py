@@ -197,3 +197,81 @@ def test_closed_stdout_leaves_no_traceback():
     with proc.stderr:
         err = proc.stderr.read().decode()
     assert "Traceback" not in err and "Exception ignored" not in err
+
+
+PROFILE_VALUES = [
+    1, 2, 1, 2, 3, 2, 3, 4, 3, 2, 3, 4, 5, 4, 5, 6, 5, 4, 5, 6, 7, 6, 7, 8, 7, 6, 7, 8, 9, 8, 9, 10,
+    9, 8, 9, 10, 11, 10, 11, 12, 11, 10, 11, 12, 13, 12, 13, 14, 13, 12, 13, 14, 15, 14, 15, 16, 15,
+    14, 15, 16, 17, 16, 17, 18, 17, 16, 17, 18, 19, 18, 19, 20, 19, 18, 19, 20, 21, 20, 21, 22, 21,
+    20, 21, 22, 23, 22, 23, 24, 23, 22, 23, 24, 25, 24, 25, 26,
+]
+
+
+def _orient(*outs, n):
+    return {str(i): "out" if i in outs else "in" for i in range(1, n + 1)}
+
+
+# (command, exit code, text stdout, JSON payload): every subcommand but rmt.
+PINNED = [
+    ("reduce AbBABa --gens 2", 0, "AABa",
+     {"word": "AbBABa", "reduced": "AABa", "letters": [-1, -1, -2, 1], "length": 4}),
+    ("cyclic-reduce AbBABa --gens 2", 0, "AB",
+     {"word": "AbBABa", "reduced": "AB", "letters": [-1, -2], "k": 2}),
+    ("good-rotations aaaAA --gens 1", 0, "k=1 rotations=[0]",
+     {"word": "aaaAA", "k": 1, "rotations": [0]}),
+    ("profile aaAbbBAA --gens 2", 0,
+     "k=2 period_start=3\nvalues=" + ",".join(map(str, PROFILE_VALUES)),
+     {"word": "aaAbbBAA", "k": 2, "period_start": 3, "values": PROFILE_VALUES}),
+    ("decompose aaAbbBAA --gens 2", 0, "prefix=aa core=Ab suffix=bBAA",
+     {"word": "aaAbbBAA", "prefix": "aa", "core": "Ab", "suffix": "bBAA"}),
+    ("pairing AbBABa --gens 2", 0, "k=2 standard_reduction=BA\n1-6\n2-5\n|3\n|4",
+     {"word": "AbBABa", "k": 2, "standard_reduction": "BA", "n": 6, "pairs": [[1, 6], [2, 5]],
+      "singletons": [3, 4], "orientations": _orient(3, 4, 5, 6, n=6)}),
+    ("dots aaaAA --gens 1", 0, "WBBWW", {"word": "aaaAA", "colors": "WBBWW"}),
+    ("dots --decode WBBWW", 0, "2-5\n3-4\n|1",
+     {"n": 5, "pairs": [[2, 5], [3, 4]], "singletons": [1], "orientations": _orient(1, 2, 3, n=5)}),
+    ("enumerate-pairings --len 4 --through 2", 0,
+     "count=4\n1-2, |3, |4\n2-3, |1, |4\n3-4, |1, |2\n1-4, |2, |3",
+     {"n": 4, "through": 2, "count": 4, "pairings": [
+         {"n": 4, "pairs": [[1, 2]], "singletons": [3, 4], "orientations": _orient(1, 3, 4, n=4)},
+         {"n": 4, "pairs": [[2, 3]], "singletons": [1, 4], "orientations": _orient(1, 2, 4, n=4)},
+         {"n": 4, "pairs": [[3, 4]], "singletons": [1, 2], "orientations": _orient(1, 2, 3, n=4)},
+         {"n": 4, "pairs": [[1, 4]], "singletons": [2, 3], "orientations": _orient(2, 3, 4, n=4)},
+     ]}),
+    ("count --len 6 --through 2 --gens 2", 0, "135", {"n": 6, "k": 2, "gens": 2, "count": 135}),
+    ("kesten --len 4 --gens 2", 0, "28", {"n": 4, "gens": 2, "moment": 28}),
+    ("census --len 2 --gens 1", 0, "1 2\nAA 1\naa 1\ntotal=4 classes=3",
+     {"alphabet_size": 1, "length": 2, "counts": {"": 2, "AA": 1, "aa": 1}}),
+    ("verify-xtoq --len 3 --gens 1", 0, "n=3 gens=1 total=8 PASS",
+     {"length": 3, "alphabet_size": 1, "ok": True, "total": 8, "violations": []}),
+    ("poly --len 3 --gens 2", 0, "x^3 - 9x",
+     {"n": 3, "gens": 2, "basis": "triangle", "coefficients": [0, -9, 0, 1], "text": "x^3 - 9x"}),
+    ("verify-poly --len 2 --gens 1", 0, "triangle: PASS\nrecurrence: Q_n + (2)*identity",
+     {"length": 2, "alphabet_size": 1, "triangle_exact": True, "recurrence_residual": 2,
+      "ok": True, "violations": []}),
+]
+
+
+@pytest.mark.parametrize("command, code, text, payload", PINNED, ids=[p[0] for p in PINNED])
+def test_pinned_output(capsys, command, code, text, payload):
+    argv = command.split()
+    assert main(argv) == code
+    assert capsys.readouterr().out == text + "\n"
+    assert main(argv + ["--json"]) == code
+    assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_rmt_pinned_lines_and_keys(capsys):
+    # rmt's floats move with the BLAS thread count; its fixed lines and keys do not
+    argv = "rmt --gens 2 --size 12 --trials 25 --max-power 3 --seed 9 --k-max 2".split()
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 0 and lines[:2] == ["seed=9", "m=12 gens=2 trials=25"]
+    assert lines[5] == "diagonalizing basis: x, x^2 - 4"
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert code == 0 and list(data) == ["seed", "config", "moments", "diagonalization"]
+    assert data["seed"] == 9
+    assert list(data["config"]) == ["matrix_size", "alphabet_size", "trials", "max_power", "z_threshold"]
+    assert [list(m) for m in data["moments"]] == [["p", "estimate", "se", "kesten", "z"]] * 3
+    assert list(data["diagonalization"]) == ["k_max", "z_threshold", "polynomials", "basis", "monomial"]
