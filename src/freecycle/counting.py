@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping
@@ -155,7 +156,8 @@ def census(
 
     Exhaustive and exact; refuses to run (rather than approximating) when the
     enumeration would exceed ``budget`` word-steps.  ``jobs`` splits the
-    counter range across processes; results do not depend on the split.
+    counter range across processes, at most one per core; results do not
+    depend on the split.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
@@ -168,9 +170,8 @@ def census(
     key = (n, alphabet_size)
     if cache and key in _CENSUS_CACHE:
         return _CENSUS_CACHE[key]
-    if n == 0:
-        counts = {"": 1}
-    elif jobs <= 1:
+    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs <= 1:
         counts = _census_range(n, alphabet_size, 0, total)
     else:
         from concurrent.futures import ProcessPoolExecutor

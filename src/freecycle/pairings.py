@@ -57,30 +57,20 @@ class HalfPairing:
 
     @cached_property
     def _covers(self) -> frozenset[tuple[int, int]]:
+        # Walk clockwise from each out point i: each out point t met is covered, and the
+        # walk jumps past t's chord; it stops at an in endpoint, after a singleton, or
+        # back at i.  A point is covered by at most one i, so this is O(n).
         outs = _out_points(self)
-        partner: dict[int, int] = {}
-        for a, b in self.pairs:
-            partner[a] = b
-            partner[b] = a
+        partner = dict(self.pairs) | {b: a for a, b in self.pairs}
         n = self.n
-        covers = set()
+        covers = []
         for i in outs:
-            for j in outs:
-                if i == j:
-                    continue
-                gap = (j - i - 1) % n
-                if gap == 0:
-                    covers.add((i, j))
-                    continue
-                internal = True
-                for d in range(1, gap + 1):
-                    t = (i + d - 1) % n + 1
-                    q = partner.get(t)
-                    if q is None or not ((q - i - 1) % n) < gap:
-                        internal = False
-                        break
-                if internal:
-                    covers.add((i, j))
+            t = i % n + 1
+            while t != i and t in outs:
+                covers.append((i, t))
+                if t not in partner:
+                    break
+                t = partner[t] % n + 1
         return frozenset(covers)
 
 

@@ -101,8 +101,8 @@ def parse_word(text: str, alphabet_size: int) -> Word:
 
 
 def word_to_text(w: Word) -> str:
-    """Alphabetic form when the alphabet fits in a-z, JSON array form otherwise."""
-    if w.alphabet_size <= 26:
+    """Alphabetic when the alphabet fits in a-z, else a JSON array; the empty word is ``""``."""
+    if w.alphabet_size <= 26 or not w.letters:
         return "".join(
             chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1) for l in w.letters
         )

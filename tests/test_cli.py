@@ -27,6 +27,13 @@ def test_reduce_to_identity_prints_one(capsys):
     assert (code, out) == (0, "1")
 
 
+def test_empty_word_prints_one_for_large_alphabet(capsys):
+    code, out, _ = run(capsys, "reduce", "[1,-1]", "--gens", "27")
+    assert (code, out) == (0, "1")
+    code, out, _ = run(capsys, "reduce", "[1,-1]", "--gens", "27", "--json")
+    assert code == 0 and json.loads(out)["reduced"] == ""
+
+
 def test_cyclic_reduce_json(capsys):
     code, out, _ = run(capsys, "cyclic-reduce", "AbBABa", "--gens", "2", "--json")
     data = json.loads(out)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import os
 from itertools import product
 
 import pytest
@@ -122,13 +124,39 @@ class TestCensus:
         assert dict(serial.counts) == dict(parallel.counts)
 
     def test_empty_length(self):
-        assert dict(census(0, 2).counts) == {"": 1}
+        for n_gens in (2, 27):
+            assert dict(census(0, n_gens).counts) == {"": 1}
 
     def test_large_alphabet_uses_json_keys(self):
         tally = census(1, 27)
         assert tally.counts["[27]"] == 1
         assert tally.counts["[-1]"] == 1
         assert tally.total == 54
+
+    def test_large_alphabet_identity_class_is_empty_key(self):
+        assert census(2, 27).counts[""] == kesten_moment(2, 27)
+
+    def test_workers_capped_at_core_count(self, monkeypatch):
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        capped = census(5, 2, cache=False, jobs=10_000)
+        assert workers == [2]
+        assert dict(capped.counts) == dict(census(5, 2, cache=False).counts)
 
     def test_class_sizes_match_formula(self):
         for n_gens, n_max in ((1, 9), (2, 7)):
@@ -154,6 +182,10 @@ class TestVerifyPowerExpansion:
         report = verify_power_expansion(2, n_gens)
         assert report.ok
         assert report.total == (2 * n_gens) ** 2
+
+    def test_large_alphabet_identity_class(self):
+        # the census and the prediction both key the identity class ""
+        assert verify_power_expansion(2, 27).ok
 
     def test_report_shape(self):
         report = verify_power_expansion(5, 1)

@@ -112,12 +112,18 @@ class TestCoverRelation:
         assert cover_relation(p) == {(1, 2), (2, 3)}
 
     def test_matches_interval_oracle(self):
-        for n in range(2, 9):
+        for n in range(2, 11):
             for k in range(2 - (n % 2), n + 1, 2):
                 if k < 1:
                     continue
                 for p in enumerate_half_pairings(n, k):
                     assert set(cover_relation(p)) == naive_cover_relation(p)
+
+    def test_long_cancelling_word(self):
+        # a^m A^(m+1): the out points m+1..2m+1 each cover the next one, and no other
+        m = 2000
+        p = admissible_half_pairing(parse_word("a" * m + "A" * (m + 1), 1))
+        assert cover_relation(p) == {(i, i + 1) for i in range(m + 1, 2 * m + 1)}
 
     def test_no_singleton_strictly_inside(self):
         for p in enumerate_half_pairings(7, 3):

@@ -126,6 +126,11 @@ class TestExpansionChecks:
         assert verify_poly_expansion(2, 2).recurrence_residual == 0
         assert verify_poly_expansion(3, 2).recurrence_residual == 0
 
+    def test_large_alphabet(self):
+        report = verify_poly_expansion(2, 27)
+        assert report.triangle_exact and report.ok
+        assert report.recurrence_residual == 2 - 2 * (27 - 1) == -50
+
     def test_report_json(self):
         data = verify_poly_expansion(3, 2).to_json()
         assert data["ok"] is True

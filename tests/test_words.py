@@ -93,6 +93,11 @@ class TestParse:
         w = Word(30, (29, -30, 1))
         assert parse_word(word_to_text(w), 30) == w
 
+    def test_empty_word_is_empty_text_in_both_encodings(self):
+        for n_gens in (2, 27):
+            assert word_to_text(Word(n_gens, ())) == ""
+            assert parse_word("", n_gens) == Word(n_gens, ())
+
     @given(free_words())
     def test_text_round_trip(self, w):
         assert parse_word(word_to_text(w), w.alphabet_size) == w
