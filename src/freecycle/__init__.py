@@ -5,7 +5,6 @@ harness."""
 
 from .words import (
     Decomposition,
-    Letter,
     ReductionProfile,
     Word,
     cyclic_reduce,
@@ -43,7 +42,6 @@ from .pairings import (
 from .counting import (
     BudgetExceededError,
     Census,
-    MomentTable,
     census,
     cyclically_reduced_words,
     kesten_moment,
@@ -61,7 +59,6 @@ from .rmt import (
     SimConfig,
     TraceSamples,
     diagonalization_from_samples,
-    diagonalization_report,
     estimate_moment,
     fluctuation_covariance,
     haar_unitary,

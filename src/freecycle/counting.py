@@ -11,7 +11,6 @@ formula and the moments are verified against.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .pairings import _standard_reduction_letters
-from .words import Word, word_to_text
+from .words import Word, parse_word, word_to_text
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -110,7 +109,7 @@ class Census:
 
     def csv_rows(self) -> list[tuple[str, int, int]]:
         return [
-            (key, len(key) if self.alphabet_size <= 26 else len(json.loads(key or "[]")), count)
+            (key, len(parse_word(key, self.alphabet_size)), count)
             for key, count in sorted(self.counts.items())
         ]
 
@@ -141,9 +140,6 @@ def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> dict[str
     return {word_to_text(Word(alphabet_size, key)): count for key, count in counts.items()}
 
 
-_CENSUS_CACHE: dict[tuple[int, int], Census] = {}
-
-
 def census(
     n: int,
     alphabet_size: int,
@@ -157,7 +153,7 @@ def census(
     Exhaustive and exact; refuses to run (rather than approximating) when the
     enumeration would exceed ``budget`` word-steps.  ``jobs`` splits the
     counter range across processes, at most one per core; results do not
-    depend on the split.
+    depend on the split.  Results are not cached, so ``cache`` has no effect.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
@@ -167,9 +163,6 @@ def census(
         raise BudgetExceededError(
             f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
         )
-    key = (n, alphabet_size)
-    if cache and key in _CENSUS_CACHE:
-        return _CENSUS_CACHE[key]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         counts = _census_range(n, alphabet_size, 0, total)
@@ -189,51 +182,7 @@ def census(
             for chunk in chunks:
                 for k_, v in chunk.items():
                     counts[k_] = counts.get(k_, 0) + v
-    result = Census(alphabet_size, n, MappingProxyType(counts))
-    if cache:
-        _CENSUS_CACHE[key] = result
-    return result
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """Triangle of class sizes s[n][k] for 0 <= k <= n, exact integers.
-
-    Row n holds the number of length-n words per reduction class of length k;
-    the k = 0 column is the Kesten moment sequence.
-    """
-
-    alphabet_size: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def build(cls, n_max: int, alphabet_size: int) -> "MomentTable":
-        rows = []
-        for n in range(n_max + 1):
-            row = [kesten_moment(n, alphabet_size)]
-            row += [reduction_class_size(n, k, alphabet_size) for k in range(1, n + 1)]
-            rows.append(tuple(row))
-        return cls(alphabet_size, tuple(rows))
-
-    @property
-    def n_max(self) -> int:
-        return len(self.entries) - 1
-
-    def entry(self, n: int, k: int) -> int:
-        return self.entries[n][k]
-
-    def to_json(self) -> dict:
-        return {
-            "alphabet_size": self.alphabet_size,
-            "rows": [list(row) for row in self.entries],
-        }
-
-    def csv_rows(self) -> list[tuple[int, int, int]]:
-        return [
-            (n, k, value)
-            for n, row in enumerate(self.entries)
-            for k, value in enumerate(row)
-        ]
+    return Census(alphabet_size, n, MappingProxyType(counts))
 
 
 @dataclass(frozen=True)

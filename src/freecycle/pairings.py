@@ -52,9 +52,6 @@ class HalfPairing:
     def through_count(self) -> int:
         return len(self.singletons)
 
-    def blocks(self) -> list[tuple[int, ...]]:
-        return sorted([(s,) for s in self.singletons] + [tuple(p) for p in self.pairs])
-
     @cached_property
     def _covers(self) -> frozenset[tuple[int, int]]:
         # Walk clockwise from each out point i: each out point t met is covered, and the
@@ -246,30 +243,25 @@ def to_dots(p: HalfPairing) -> DotDiagram:
 def from_dots(d: DotDiagram) -> HalfPairing:
     """Match each black dot clockwise to its white partner; leftover whites are singletons.
 
-    Walking clockwise from a black dot, every intervening black claims one
-    white, so the partner is the first white at which the walk is balanced.
+    One bracket pass over two laps of the circle: a black opens in the first
+    lap only, and a white not yet matched closes the innermost open black.
     Needs strictly fewer blacks than whites so at least one singleton remains.
     """
     colors = d.colors
     n = d.n
-    blacks = [i for i in range(1, n + 1) if colors[i - 1] == "B"]
-    if 2 * len(blacks) >= n:
+    if 2 * colors.count("B") >= n:
         raise ValueError("need fewer black dots than white dots")
-    pairs = []
-    for b in blacks:
-        depth = 0
-        for step in range(1, n):
-            t = (b + step - 1) % n + 1
-            if colors[t - 1] == "B":
-                depth += 1
-            elif depth == 0:
-                pairs.append((b, t))
-                break
-            else:
-                depth -= 1
-    matched = {x for pair in pairs for x in pair}
-    singles = frozenset(i for i in range(1, n + 1) if i not in matched)
-    return HalfPairing(n, frozenset(pairs), singles)
+    opened: list[int] = []
+    mate: dict[int, int] = {}  # white -> its black
+    for i in range(2 * n):
+        t = i % n + 1
+        if colors[t - 1] == "B":
+            if i < n:
+                opened.append(t)
+        elif opened and t not in mate:
+            mate[t] = opened.pop()
+    singles = frozenset(t for t in range(1, n + 1) if colors[t - 1] == "W" and t not in mate)
+    return HalfPairing(n, frozenset((b, w) for w, b in mate.items()), singles)
 
 
 def enumerate_half_pairings(n: int, k: int) -> list[HalfPairing]:

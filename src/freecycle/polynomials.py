@@ -13,10 +13,11 @@ degrees and is kept only for comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Literal
+from typing import Literal, Mapping
 
 from .counting import (
     DEFAULT_BUDGET,
+    Census,
     census,
     cyclically_reduced_words,
     kesten_moment,
@@ -41,10 +42,6 @@ class IntPolynomial:
         while end > 0 and coeffs[end - 1] == 0:
             end -= 1
         self.coeffs: tuple[int, ...] = tuple(coeffs[:end])
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "IntPolynomial":
-        return cls(*coeffs)
 
     @classmethod
     def x(cls) -> "IntPolynomial":
@@ -102,13 +99,6 @@ class IntPolynomial:
         return IntPolynomial(*out)
 
     __rmul__ = __mul__
-
-    def __call__(self, value):
-        """Evaluate by Horner's rule; works for ints, floats and numpy arrays."""
-        result = 0 * value
-        for c in reversed(self.coeffs):
-            result = result * value + c
-        return result
 
     def __str__(self) -> str:
         """
@@ -218,13 +208,13 @@ class PolyExpansionReport:
         }
 
 
-def _reduced_expansion(p: IntPolynomial, alphabet_size: int, budget: int) -> dict[str, int]:
-    """Standard cyclic reduction of p(x), as reduced-word -> integer coefficient."""
+def _reduced_expansion(p: IntPolynomial, censuses: Mapping[int, Census]) -> dict[str, int]:
+    """Standard cyclic reduction of p(x), read from the census of each degree in p."""
     acc: dict[str, int] = {}
     for j, c in enumerate(p.coeffs):
         if not c:
             continue
-        for key, count in census(j, alphabet_size, budget=budget).counts.items():
+        for key, count in censuses[j].counts.items():
             acc[key] = acc.get(key, 0) + c * count
     return {key: v for key, v in acc.items() if v}
 
@@ -232,11 +222,16 @@ def _reduced_expansion(p: IntPolynomial, alphabet_size: int, budget: int) -> dic
 def verify_poly_expansion(
     n: int, alphabet_size: int, *, budget: int = DEFAULT_BUDGET
 ) -> PolyExpansionReport:
-    """Expand both polynomial constructions through the census and compare to Q_n."""
+    """Expand both polynomial constructions through the census and compare to Q_n.
+
+    Both polynomials have the parity of n, so each census of those degrees is
+    computed once and shared by the two expansions.
+    """
     target = {word_to_text(v): 1 for v in cyclically_reduced_words(n, alphabet_size)}
+    censuses = {j: census(j, alphabet_size, budget=budget) for j in range(n % 2, n + 1, 2)}
     violations = []
 
-    triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), alphabet_size, budget)
+    triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)
     triangle_exact = triangle == target
     if not triangle_exact:
         for key in sorted(set(triangle) | set(target)):
@@ -244,9 +239,7 @@ def verify_poly_expansion(
             if got != want:
                 violations.append(f"triangle: class {key!r} has coefficient {got}, want {want}")
 
-    rec = _reduced_expansion(
-        fluctuation_poly_recurrence(n, alphabet_size, "x"), alphabet_size, budget
-    )
+    rec = _reduced_expansion(fluctuation_poly_recurrence(n, alphabet_size, "x"), censuses)
     residual: int | None = rec.pop("", 0) - target.get("", 0)
     if rec != {key: v for key, v in target.items() if key}:
         residual = None

@@ -227,8 +227,3 @@ def diagonalization_from_samples(samples: TraceSamples, k_max: int) -> Diagonali
     return DiagonalizationReport(
         k_max, cfg.z_threshold, tuple(str(p) for p in polys), bc, bs, bz, mc, ms, mz
     )
-
-
-def diagonalization_report(cfg: SimConfig, k_max: int) -> DiagonalizationReport:
-    """Sample under ``cfg`` and test the diagonalization claim at its z threshold."""
-    return diagonalization_from_samples(sample_traces(cfg), k_max)

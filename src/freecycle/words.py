@@ -13,27 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, NamedTuple
-
-
-class Letter(NamedTuple):
-    """A single generator or inverse generator: ``generator`` in 1..N, ``exponent`` +1 or -1."""
-
-    generator: int
-    exponent: int
-
-    @classmethod
-    def from_signed(cls, value: int) -> "Letter":
-        if value == 0:
-            raise ValueError("letter value must be a nonzero signed generator index")
-        return cls(abs(value), 1 if value > 0 else -1)
-
-    @property
-    def signed(self) -> int:
-        return self.generator * self.exponent
-
-    def inverse(self) -> "Letter":
-        return Letter(self.generator, -self.exponent)
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -57,10 +37,6 @@ class Word:
 
     def __str__(self) -> str:
         return word_to_text(self)
-
-    def letter_at(self, i: int) -> Letter:
-        """The i-th letter, 1-based, as a (generator, exponent) pair."""
-        return Letter.from_signed(self.letters[i - 1])
 
     def __add__(self, other: "Word") -> "Word":
         if self.alphabet_size != other.alphabet_size:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import freecycle
-from freecycle import counting, half_pairing_from_json, parse_word
+from freecycle import half_pairing_from_json, parse_word
 from freecycle.cli import main
 
 
@@ -101,13 +101,11 @@ def test_kesten(capsys):
     assert (code, out) == (0, "28")
 
 
-def test_census_text_json_csv(capsys, tmp_path, monkeypatch):
+def test_census_text_json_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "census", "--len", "3", "--gens", "1")
     assert code == 0
     assert out.splitlines()[-1] == "total=8 classes=4"
 
-    # an empty cache, so that --jobs 2 runs its worker processes
-    monkeypatch.setattr(counting, "_CENSUS_CACHE", {})
     for extra in (["--jobs", "2"], []):
         code, out, _ = run(capsys, "census", "--len", "4", "--gens", "2", *extra, "--json")
         data = json.loads(out)
@@ -115,13 +113,18 @@ def test_census_text_json_csv(capsys, tmp_path, monkeypatch):
         assert data["counts"][""] == 28
         assert data["counts"]["ab"] == 12
 
-    path = tmp_path / "census.csv"
-    code, _, _ = run(capsys, "census", "--len", "4", "--gens", "2", "--csv", str(path))
-    assert code == 0
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["reduction", "length", "count"]
-    assert ["", "0", "28"] in rows
+    # above 26 generators the keys are JSON arrays and the identity class is ""
+    for n, gens, identity, other in (
+        ("4", "2", "28", ["ab", "2", "12"]),
+        ("2", "27", "54", ["[1, 2]", "2", "1"]),
+    ):
+        path = tmp_path / f"census{gens}.csv"
+        code, _, _ = run(capsys, "census", "--len", n, "--gens", gens, "--csv", str(path))
+        assert code == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["reduction", "length", "count"]
+        assert ["", "0", identity] in rows and other in rows
 
 
 def test_census_budget_exceeded(capsys):

