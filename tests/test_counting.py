@@ -5,11 +5,11 @@ from itertools import product
 
 import pytest
 
-from freecycle import counting
 from freecycle import (
     BudgetExceededError,
     Word,
     census,
+    counting,
     cyclically_reduced_words,
     is_cyclically_reduced,
     kesten_moment,

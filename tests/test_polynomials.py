@@ -5,9 +5,9 @@ from freecycle import (
     fluctuation_poly,
     fluctuation_poly_recurrence,
     modified_chebyshev,
+    polynomials,
     verify_poly_expansion,
 )
-from freecycle import polynomials
 from freecycle.polynomials import poly_to_json
 
 
