@@ -55,14 +55,17 @@ from .polynomials import (
     modified_chebyshev,
     verify_poly_expansion,
 )
-from .rmt import (
-    SimConfig,
-    TraceSamples,
-    diagonalization_from_samples,
-    estimate_moment,
-    fluctuation_covariance,
-    haar_unitary,
-    sample_traces,
-)
+
+_RMT_NAMES = {"SimConfig", "TraceSamples", "diagonalization_from_samples", "estimate_moment",
+              "fluctuation_covariance", "haar_unitary", "sample_traces"}
+
+
+def __getattr__(name: str):
+    # The Monte Carlo harness needs numpy, so it loads on first use (PEP 562).
+    if name in _RMT_NAMES:
+        from . import rmt
+        return getattr(rmt, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

@@ -15,11 +15,10 @@ import argparse
 import csv
 import json
 import os
+import secrets
 import sys
 
-import numpy as np
-
-from . import counting, pairings, polynomials, rmt, words
+from . import counting, pairings, polynomials, words
 
 ROTATION_HELP = (
     "Rotation offset r maps l_1...l_n to l_{r+1}...l_n l_1...l_r; offset 0 is the word itself."
@@ -158,7 +157,8 @@ def cmd_verify_poly(args) -> Output:
 
 
 def cmd_rmt(args) -> Output:
-    seed = args.seed if args.seed is not None else int(np.random.SeedSequence().entropy)
+    from . import rmt  # numpy loads only for this command
+    seed = args.seed if args.seed is not None else secrets.randbits(128)
     cfg = rmt.SimConfig(
         matrix_size=args.size, alphabet_size=args.gens, trials=args.trials,
         max_power=args.max_power, seed=seed, z_threshold=args.z_threshold,

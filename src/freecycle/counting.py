@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from itertools import islice, product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -117,26 +118,15 @@ class Census:
 def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> dict[str, int]:
     """Tally standard reductions for word indices in [start, stop).
 
-    Words are indexed by a mixed-radix counter over the 2N letters, most
-    significant digit first, so a range maps to a contiguous slab of words.
+    Words are indexed in ``product`` order over the letters 1..N, -1..-N, last
+    letter fastest, so a range maps to a contiguous slab of words.
     Tallies are kept on letter tuples; each class is rendered to text once.
     """
-    radix = 2 * alphabet_size
-    symbols = [d + 1 if d < alphabet_size else alphabet_size - 1 - d for d in range(radix)]
+    symbols = [*range(1, alphabet_size + 1), *range(-1, -alphabet_size - 1, -1)]
     counts: dict[tuple[int, ...], int] = {}
-    digits = [0] * n
-    rest = start
-    for pos in range(n - 1, -1, -1):
-        rest, digits[pos] = divmod(rest, radix)
-    for _ in range(start, stop):
-        letters = tuple(symbols[d] for d in digits)
+    for letters in islice(product(symbols, repeat=n), start, stop):
         key = _standard_reduction_letters(letters)
         counts[key] = counts.get(key, 0) + 1
-        for pos in range(n - 1, -1, -1):
-            digits[pos] += 1
-            if digits[pos] < radix:
-                break
-            digits[pos] = 0
     return {word_to_text(Word(alphabet_size, key)): count for key, count in counts.items()}
 
 

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .words import Word, _good_reduction, cyclic_reduce, is_cyclically_reduced
+from .words import Word, _good_reduction, is_cyclically_reduced
 
 OUT = "out"
 IN = "in"
@@ -147,15 +147,6 @@ def cover_relation(p: HalfPairing) -> frozenset[tuple[int, int]]:
     return p._covers
 
 
-def _is_rotation_of(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    if len(a) != len(b):
-        return False
-    if not a:
-        return True
-    doubled = b + b
-    return any(doubled[r : r + len(a)] == a for r in range(len(a)))
-
-
 def is_word_pairing(w: Word, p: HalfPairing) -> bool:
     """Whether p pairs inverse letters of w and its singletons read a cyclic reduction."""
     letters = w.letters
@@ -164,8 +155,10 @@ def is_word_pairing(w: Word, p: HalfPairing) -> bool:
     for a, b in p.pairs:
         if letters[a - 1] != -letters[b - 1]:
             return False
+    # Non-crossing chords of inverse letters cancel innermost first, conjugating w to
+    # the through letters: if cyclically reduced, they are a rotation of cyclic_reduce(w).
     through = Word(w.alphabet_size, tuple(letters[i - 1] for i in sorted(p.singletons)))
-    return is_cyclically_reduced(through) and _is_rotation_of(through.letters, cyclic_reduce(w).letters)
+    return is_cyclically_reduced(through)
 
 
 def is_word_admissible(w: Word, p: HalfPairing) -> bool:

@@ -171,29 +171,46 @@ def is_cyclically_reduced(w: Word) -> bool:
     )
 
 
-def _has_good_reduction(letters: tuple[int, ...]) -> bool:
-    # Kept for the rotation search: it stops at the first emptied stack, and
-    # searching with the full pass instead measured ~3x slower on a^1000 A^1001.
-    stack: list[int] = []
-    push = stack.append
-    pop = stack.pop
-    for l in letters:
-        if stack and stack[-1] == -l:
-            pop()
-            if not stack:
-                return False
-        else:
-            push(l)
-    # Nonempty stack here; reduction is cyclically reduced iff the ends do not
-    # cancel (a single letter never cancels itself).
-    return stack[0] != -stack[-1]
-
-
 def has_good_reduction(w: Word) -> bool:
     """True iff no prefix reduces to the identity and the linear reduction is cyclically reduced."""
     if not w.letters:
         raise ValueError("good reduction is undefined for the empty word")
     return _is_good(w.letters, _reduce_with_partners(w.letters)[0])
+
+
+def _first_good_rotation(
+    letters: tuple[int, ...], survivors: list[int], pairs: list[tuple[int, int]]
+) -> int:
+    """The least good rotation of a word that does not reduce to 1, from rotation 0's pass.
+
+    The survivors spell x c x^-1 with c cyclically reduced.  On the Cayley tree,
+    measure height toward the word's repelling end x c^-1 c^-1 ...: each letter
+    moves it by +-1 (a pop is the later end of a pair) and each period lowers it
+    by |c|.  By the cycle lemma of Dvoretzky and Motzkin the least good rotation
+    is the last t < n before which the height is highest.
+    """
+    u = [letters[i] for i in survivors]
+    j = 0
+    while u[j] == -u[-1 - j]:
+        j += 1
+    c_inv = [-l for l in reversed(u[j : len(u) - j])]
+    end = u[:j] + c_inv * (len(letters) // len(c_inv) + 1)
+    pops = {later for _, later in pairs}
+    # on_end counts the bottom stack letters that spell a prefix of the end.
+    depth = on_end = height = best = first = 0
+    for t, l in enumerate(letters):
+        if height >= best:
+            best, first = height, t
+        if t in pops:
+            toward = depth > on_end
+            on_end -= not toward
+            depth -= 1
+        else:
+            toward = depth == on_end and l == end[depth]
+            on_end += toward
+            depth += 1
+        height += 1 if toward else -1
+    return first
 
 
 def _good_reduction(
@@ -204,7 +221,7 @@ def _good_reduction(
     Returns None if the word reduces to 1, else r and ``_reduce_with_partners``
     of the rotated word, whose position j is letter (r + j) mod n of the word.
     By the cycle lemma the survivors (through strings) start the good rotations.
-    Only when rotation 0 is bad and none was forced are rotations 1.. searched.
+    When rotation 0 is bad and none was forced, the least good rotation is read off its pass.
     """
     start = rotation % len(letters) if rotation else 0
     rotated = letters[start:] + letters[:start]
@@ -215,11 +232,8 @@ def _good_reduction(
         return start, survivors, pairs
     if rotation is not None:
         raise ValueError(f"rotation {start} does not have good reduction")
-    n = len(letters)
-    doubled = letters + letters
-    # Some rotation is good whenever the word does not reduce to 1.
-    start = next(r for r in range(1, n) if _has_good_reduction(doubled[r : r + n]))
-    return (start, *_reduce_with_partners(doubled[start : start + n]))
+    start = _first_good_rotation(letters, survivors, pairs)
+    return (start, *_reduce_with_partners(letters[start:] + letters[:start]))
 
 
 def good_rotations(w: Word) -> list[int]:

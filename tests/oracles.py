@@ -115,6 +115,23 @@ def naive_good_rotations(w: Word) -> list[int]:
     return good
 
 
+def naive_is_word_pairing(w: Word, p: HalfPairing) -> bool:
+    """Pairs join inverse letters, and the through letters are cyclically reduced
+    and a rotation of the rewriting oracle's cyclic reduction of w."""
+    letters = w.letters
+    if any(letters[a - 1] != -letters[b - 1] for a, b in p.pairs):
+        return False
+    through = tuple(letters[i - 1] for i in sorted(p.singletons))
+    if naive_linear_reduce(through) != through or through[0] == -through[-1]:
+        return False
+    core = naive_linear_reduce(letters)
+    while len(core) >= 2 and core[0] == -core[-1]:
+        core = core[1:-1]
+    return len(core) == len(through) and any(
+        core[r:] + core[:r] == through for r in range(len(core))
+    )
+
+
 def naive_cover_relation(p: HalfPairing) -> set[tuple[int, int]]:
     """Covers from explicit interval lists: no singleton inside, no pair straddling."""
     from freecycle.pairings import _out_points

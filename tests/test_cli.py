@@ -285,3 +285,11 @@ def test_rmt_pinned_lines_and_keys(capsys):
     assert list(data["config"]) == ["matrix_size", "alphabet_size", "trials", "max_power", "z_threshold"]
     assert [list(m) for m in data["moments"]] == [["p", "estimate", "se", "kesten", "z"]] * 3
     assert list(data["diagonalization"]) == ["k_max", "z_threshold", "polynomials", "basis", "monomial"]
+
+
+def test_import_leaves_numpy_unloaded():
+    # Only the Monte Carlo harness needs numpy; `rmt` loads it on first use.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
+    code = "import sys, freecycle, freecycle.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    assert proc.stdout == b"False\n"

@@ -31,7 +31,12 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import brute_force_half_pairings, naive_cover_relation, scan_half_pairing
+from oracles import (
+    brute_force_half_pairings,
+    naive_cover_relation,
+    naive_is_word_pairing,
+    scan_half_pairing,
+)
 from strategies import nonvanishing_words
 
 NESTED_PAIRING = HalfPairing(6, frozenset({(1, 6), (2, 5)}), frozenset({3, 4}))
@@ -168,6 +173,17 @@ class TestWordPairing:
         assert is_word_pairing(w, p)
         w2 = parse_word("aA", 1)
         assert not is_word_pairing(w2, p)  # singleton word aA not cyclically reduced
+
+    def test_matches_rotation_oracle_exhaustive(self):
+        # Every word with n <= 6, N <= 2 against every half-pairing on n points.
+        for n in range(1, 7):
+            pairings = brute_force_half_pairings(n)
+            for n_gens in (1, 2):
+                alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
+                for letters in product(alphabet, repeat=n):
+                    w = Word(n_gens, letters)
+                    for p in pairings:
+                        assert is_word_pairing(w, p) == naive_is_word_pairing(w, p)
 
 
 class TestAdmissibility:

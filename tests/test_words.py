@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from freecycle import (
     Word,
+    admissible_half_pairing,
     cyclic_reduce,
     good_rotations,
     has_good_reduction,
@@ -20,7 +21,7 @@ from freecycle import (
     standard_decomposition,
     word_to_text,
 )
-from freecycle.words import MAX_PROFILE_HORIZON, periodicity_bound
+from freecycle.words import MAX_PROFILE_HORIZON, _good_reduction, periodicity_bound
 
 from oracles import is_dominating, naive_good_rotations, naive_linear_reduce, naive_profile
 from strategies import free_words, nonvanishing_words
@@ -181,6 +182,11 @@ class TestGoodRotations:
         assert good_rotations(parse_word("aaaAA", 1)) == [0]
         assert good_rotations(parse_word("aA", 1)) == []
         assert good_rotations(parse_word("aaAbbBAA", 2)) == [2, 3]
+        # the worst case of a rotation-by-rotation search; linear here
+        m = 50_000
+        w = Word(1, (1,) * m + (-1,) * (m + 1))
+        assert good_rotations(w) == [m]
+        assert admissible_half_pairing(w).singletons == frozenset({m + 1})
 
     def test_rotation_convention(self):
         w = parse_word("abab", 2)
@@ -191,9 +197,9 @@ class TestGoodRotations:
     def test_cycle_lemma_exhaustive_small(self):
         from itertools import product
 
-        for n_gens in (1, 2):
+        for n_gens, max_len in ((1, 7), (2, 7), (3, 5)):
             alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
-            for n in range(1, 6):
+            for n in range(1, max_len + 1):
                 for letters in product(alphabet, repeat=n):
                     w = Word(n_gens, letters)
                     rotations = good_rotations(w)
@@ -212,6 +218,32 @@ class TestGoodRotations:
             rotations = good_rotations(w)
             assert rotations == naive_good_rotations(w)
             assert len(rotations) == len(cyclic_reduce(w))
+        # Structured words of 100-300 letters: u c u^-1 at a random rotation, and
+        # a^m A^(m+d), whose bad rotations reduce far before failing.
+        for i in range(50):
+            n_gens = rng.randint(1, 3)
+            draw = lambda size: [rng.randint(1, n_gens) * rng.choice((1, -1)) for _ in range(size)]
+            if i % 2:
+                k = rng.randint(1, 60)
+                u, c = draw(rng.randint((101 - k) // 2, (300 - k) // 2)), draw(k)
+                letters = u + c + [-l for l in reversed(u)]
+            else:
+                g = rng.randint(1, n_gens) * rng.choice((1, -1))
+                m, d = rng.randint(50, 148), rng.randint(1, 3)
+                letters = [g] * m + [-g] * (m + d)
+            w = rotate(Word(n_gens, tuple(letters)), rng.randrange(len(letters)))
+            rotations = good_rotations(w)
+            assert rotations == naive_good_rotations(w)
+            assert len(rotations) == len(cyclic_reduce(w))
+
+    def test_least_good_rotation_is_chosen(self):
+        # Any highest point of the walk yields the same through strings, so only
+        # the rotation itself shows that the last one (the least good) is taken.
+        words = [w for w in all_words() if w.letters and not is_reducible_to_one(w)]
+        words += [rotate(Word(1, (1,) * m + (-1,) * (m + d)), r)
+                  for m in (1, 2, 5, 40) for d in (1, 2, 3) for r in range(0, 2 * m + d, 3)]
+        for w in words:
+            assert _good_reduction(w.letters)[0] == naive_good_rotations(w)[0]
 
     def test_single_generator_matches_dominating_strings(self):
         from itertools import product
