@@ -130,6 +130,17 @@ def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> dict[str
     return {word_to_text(Word(alphabet_size, key)): count for key, count in counts.items()}
 
 
+def _census_words(n: int, alphabet_size: int, budget: int) -> int:
+    """The (2N)^n words of census(n, N); refuses if (2N)^n * n word-steps exceed budget."""
+    total = (2 * alphabet_size) ** n
+    steps = total * max(n, 1)
+    if steps > budget:
+        raise BudgetExceededError(
+            f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
+        )
+    return total
+
+
 def census(
     n: int,
     alphabet_size: int,
@@ -147,12 +158,7 @@ def census(
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
-    total = (2 * alphabet_size) ** n
-    steps = total * max(n, 1)
-    if steps > budget:
-        raise BudgetExceededError(
-            f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
-        )
+    total = _census_words(n, alphabet_size, budget)
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs <= 1:
         counts = _census_range(n, alphabet_size, 0, total)

@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
-from .words import Word, _good_reduction, is_cyclically_reduced
+from .words import Word, _good_rotations, _is_good, _reduce_with_partners, is_cyclically_reduced
 
 OUT = "out"
 IN = "in"
@@ -180,14 +180,20 @@ def admissible_half_pairing(w: Word, rotation: int | None = None) -> HalfPairing
     n = len(w.letters)
     if n == 0:
         raise ValueError("the empty word has no half-pairing")
-    found = _good_reduction(w.letters, rotation)
-    if found is None:
+    start = rotation % n if rotation else 0
+    letters = w.letters[start:] + w.letters[:start]
+    survivors, pairs = _reduce_with_partners(letters)
+    if not survivors:
         raise ValueError("word reduces to the identity; no half-pairing exists")
-    rotation, survivors, partners = found
-    back = lambda j: (rotation + j) % n + 1
+    if not _is_good(letters, survivors):
+        if rotation is not None:
+            raise ValueError(f"rotation {start} does not have good reduction")
+        start = _good_rotations(letters, survivors, pairs)[0]
+        survivors, pairs = _reduce_with_partners(letters[start:] + letters[:start])
+    back = lambda j: (start + j) % n + 1
     return HalfPairing(
         n,
-        frozenset((back(i), back(j)) for i, j in partners),
+        frozenset((back(i), back(j)) for i, j in pairs),
         frozenset(back(j) for j in survivors),
     )
 
@@ -204,12 +210,7 @@ def standard_cyclic_reduction(w: Word) -> Word:
 
 def _standard_reduction_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
     """standard_cyclic_reduction on a raw letter tuple; the census calls it per word."""
-    found = _good_reduction(letters)
-    if found is None:
-        return ()
-    rotation, survivors, _ = found
-    n = len(letters)
-    return tuple(letters[i] for i in sorted((rotation + j) % n for j in survivors))
+    return tuple(letters[r] for r in _good_rotations(letters, *_reduce_with_partners(letters)))
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Literal, Mapping
 from .counting import (
     DEFAULT_BUDGET,
     Census,
+    _census_words,
     census,
     cyclically_reduced_words,
     kesten_moment,
@@ -227,8 +228,11 @@ def verify_poly_expansion(
     Both polynomials have the parity of n, so each census of those degrees is
     computed once and shared by the two expansions.
     """
+    degrees = range(n % 2, n + 1, 2)
+    for j in degrees:  # refuse before enumerating anything
+        _census_words(j, alphabet_size, budget)
     target = {word_to_text(v): 1 for v in cyclically_reduced_words(n, alphabet_size)}
-    censuses = {j: census(j, alphabet_size, budget=budget) for j in range(n % 2, n + 1, 2)}
+    censuses = {j: census(j, alphabet_size, budget=budget) for j in degrees}
     violations = []
 
     triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)

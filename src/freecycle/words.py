@@ -178,17 +178,19 @@ def has_good_reduction(w: Word) -> bool:
     return _is_good(w.letters, _reduce_with_partners(w.letters)[0])
 
 
-def _first_good_rotation(
+def _good_rotations(
     letters: tuple[int, ...], survivors: list[int], pairs: list[tuple[int, int]]
-) -> int:
-    """The least good rotation of a word that does not reduce to 1, from rotation 0's pass.
+) -> list[int]:
+    """The good rotations in ascending order, read off rotation 0's kernel pass.
 
-    The survivors spell x c x^-1 with c cyclically reduced.  On the Cayley tree,
-    measure height toward the word's repelling end x c^-1 c^-1 ...: each letter
-    moves it by +-1 (a pop is the later end of a pair) and each period lowers it
-    by |c|.  By the cycle lemma of Dvoretzky and Motzkin the least good rotation
-    is the last t < n before which the height is highest.
+    If rotation 0 is good they are its survivors (through strings).  Otherwise
+    the survivors spell x c x^-1 with c cyclically reduced, and h[t] is the
+    height before letter t toward the word's repelling end x c^-1 c^-1 ... on
+    the Cayley tree: each letter moves it by +-1 and each period lowers it by
+    k = |c|.  The good rotations are its right-to-left records above max(h) - k.
     """
+    if not survivors or _is_good(letters, survivors):
+        return survivors
     u = [letters[i] for i in survivors]
     j = 0
     while u[j] == -u[-1 - j]:
@@ -196,44 +198,25 @@ def _first_good_rotation(
     c_inv = [-l for l in reversed(u[j : len(u) - j])]
     end = u[:j] + c_inv * (len(letters) // len(c_inv) + 1)
     pops = {later for _, later in pairs}
-    # on_end counts the bottom stack letters that spell a prefix of the end.
-    depth = on_end = height = best = first = 0
+    # on_end counts the bottom stack letters that spell a prefix of the end, so
+    # the height is on_end steps toward it less depth - on_end steps away.
+    depth = on_end = 0
+    h = []
     for t, l in enumerate(letters):
-        if height >= best:
-            best, first = height, t
+        h.append(2 * on_end - depth)
         if t in pops:
-            toward = depth > on_end
-            on_end -= not toward
             depth -= 1
+            on_end = min(on_end, depth)
         else:
-            toward = depth == on_end and l == end[depth]
-            on_end += toward
+            on_end += depth == on_end and l == end[depth]
             depth += 1
-        height += 1 if toward else -1
-    return first
-
-
-def _good_reduction(
-    letters: tuple[int, ...], rotation: int | None = None
-) -> tuple[int, list[int], list[tuple[int, int]]] | None:
-    """The first good rotation r, or ``rotation`` if it is good, with its reduction.
-
-    Returns None if the word reduces to 1, else r and ``_reduce_with_partners``
-    of the rotated word, whose position j is letter (r + j) mod n of the word.
-    By the cycle lemma the survivors (through strings) start the good rotations.
-    When rotation 0 is bad and none was forced, the least good rotation is read off its pass.
-    """
-    start = rotation % len(letters) if rotation else 0
-    rotated = letters[start:] + letters[:start]
-    survivors, pairs = _reduce_with_partners(rotated)
-    if not survivors:
-        return None
-    if _is_good(rotated, survivors):
-        return start, survivors, pairs
-    if rotation is not None:
-        raise ValueError(f"rotation {start} does not have good reduction")
-    start = _first_good_rotation(letters, survivors, pairs)
-    return (start, *_reduce_with_partners(letters[start:] + letters[:start]))
+    top = max(h) - len(c_inv)
+    good = []
+    for t in range(len(letters) - 1, -1, -1):
+        if h[t] > top:
+            good.append(t)
+            top = h[t]
+    return good[::-1]
 
 
 def good_rotations(w: Word) -> list[int]:
@@ -241,17 +224,11 @@ def good_rotations(w: Word) -> list[int]:
 
     There are always exactly as many such offsets as there are letters in a
     cyclic reduction of ``w``; in particular the list is empty iff the word
-    reduces to the identity.  They are read off one good rotation: each is
-    the position of a letter that survives its reduction (a through string).
+    reduces to the identity.  They are read off one kernel pass of ``w``.
     """
     if not w.letters:
         raise ValueError("good rotations are undefined for the empty word")
-    found = _good_reduction(w.letters)
-    if found is None:
-        return []
-    rotation, survivors, _ = found
-    n = len(w.letters)
-    return sorted((rotation + j) % n for j in survivors)
+    return _good_rotations(w.letters, *_reduce_with_partners(w.letters))
 
 
 @dataclass(frozen=True)

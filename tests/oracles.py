@@ -9,9 +9,9 @@ word instead of rotating to a good offset.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
-from freecycle import HalfPairing, Word, cyclic_reduce
+from freecycle import HalfPairing, Word, cyclic_reduce, word_to_text
 from freecycle.words import default_profile_horizon
 
 
@@ -113,6 +113,18 @@ def naive_good_rotations(w: Word) -> list[int]:
             if stack[0] != -stack[-1]:
                 good.append(r)
     return good
+
+
+def naive_census(n: int, alphabet_size: int) -> dict[str, int]:
+    """Tally every length-n word by its letters at the good rotations that
+    ``naive_good_rotations`` finds, keyed by their text."""
+    alphabet = [s * g for g in range(1, alphabet_size + 1) for s in (1, -1)]
+    counts: dict[str, int] = {}
+    for letters in product(alphabet, repeat=n):
+        w = Word(alphabet_size, letters)
+        key = word_to_text(Word(alphabet_size, tuple(letters[r] for r in naive_good_rotations(w))))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def naive_is_word_pairing(w: Word, p: HalfPairing) -> bool:

@@ -19,6 +19,8 @@ from freecycle import (
     word_to_text,
 )
 
+from oracles import naive_census
+
 
 class TestClassSize:
     def test_derived_values(self):
@@ -170,6 +172,12 @@ class TestCensus:
         capped = census(5, 2, cache=False, jobs=10_000)
         assert workers == [2]
         assert dict(capped.counts) == dict(census(5, 2, cache=False).counts)
+
+    def test_matches_rotation_oracle(self):
+        for n_gens, n_max in ((1, 6), (2, 6), (3, 4)):
+            for n in range(n_max + 1):
+                assert dict(census(n, n_gens).counts) == naive_census(n, n_gens)
+        assert dict(census(5, 2, jobs=2).counts) == naive_census(5, 2)
 
     def test_class_sizes_match_formula(self):
         for n_gens, n_max in ((1, 9), (2, 7)):

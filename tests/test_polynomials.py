@@ -1,7 +1,9 @@
 import pytest
 
 from freecycle import (
+    BudgetExceededError,
     IntPolynomial,
+    counting,
     fluctuation_poly,
     fluctuation_poly_recurrence,
     modified_chebyshev,
@@ -135,6 +137,19 @@ class TestExpansionChecks:
             requested.clear()
             assert verify_poly_expansion(n, 2).ok
             assert sorted(requested) == [(j, 2) for j in range(n % 2, n + 1, 2)]
+
+    def test_budget_refused_before_any_census_runs(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a census was enumerated before the budget check")
+
+        monkeypatch.setattr(counting, "_census_range", refuse)
+        for budget, message in (
+            (10**7, "census(10, 2) needs 10485760 word-steps, budget is 10000000"),
+            (10**5, "census(8, 2) needs 524288 word-steps, budget is 100000"),
+        ):
+            with pytest.raises(BudgetExceededError) as exc:
+                verify_poly_expansion(10, 2, budget=budget)
+            assert str(exc.value) == message
 
     def test_large_alphabet(self):
         report = verify_poly_expansion(2, 27)

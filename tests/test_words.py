@@ -18,10 +18,12 @@ from freecycle import (
     parse_word,
     reduction_profile,
     rotate,
+    standard_cyclic_reduction,
     standard_decomposition,
     word_to_text,
 )
-from freecycle.words import MAX_PROFILE_HORIZON, _good_reduction, periodicity_bound
+from freecycle import pairings, words
+from freecycle.words import MAX_PROFILE_HORIZON, _reduce_with_partners, periodicity_bound
 
 from oracles import is_dominating, naive_good_rotations, naive_linear_reduce, naive_profile
 from strategies import free_words, nonvanishing_words
@@ -236,14 +238,35 @@ class TestGoodRotations:
             assert rotations == naive_good_rotations(w)
             assert len(rotations) == len(cyclic_reduce(w))
 
-    def test_least_good_rotation_is_chosen(self):
-        # Any highest point of the walk yields the same through strings, so only
-        # the rotation itself shows that the last one (the least good) is taken.
-        words = [w for w in all_words() if w.letters and not is_reducible_to_one(w)]
-        words += [rotate(Word(1, (1,) * m + (-1,) * (m + d)), r)
+    def test_every_good_rotation_from_one_walk(self):
+        # Where rotation 0 is bad, every good rotation is a height record of
+        # one walk over rotation 0's pass, not a survivor of a second pass.
+        cases = [w for w in all_words() if w.letters and not is_reducible_to_one(w)]
+        cases += [rotate(Word(1, (1,) * m + (-1,) * (m + d)), r)
                   for m in (1, 2, 5, 40) for d in (1, 2, 3) for r in range(0, 2 * m + d, 3)]
-        for w in words:
-            assert _good_reduction(w.letters)[0] == naive_good_rotations(w)[0]
+        for w in cases:
+            assert good_rotations(w) == naive_good_rotations(w)
+
+    def test_kernel_passes_per_call(self, monkeypatch):
+        passes = []
+
+        def counted(letters):
+            passes.append(letters)
+            return _reduce_with_partners(letters)
+
+        monkeypatch.setattr(words, "_reduce_with_partners", counted)
+        monkeypatch.setattr(pairings, "_reduce_with_partners", counted)
+        good, bad = parse_word("aaaAA", 1), parse_word("aAaaa", 1)
+        for call, expected in (
+            (lambda: good_rotations(bad), 1),
+            (lambda: standard_cyclic_reduction(bad), 1),
+            (lambda: admissible_half_pairing(good), 1),
+            (lambda: admissible_half_pairing(bad, rotation=2), 1),
+            (lambda: admissible_half_pairing(bad), 2),
+        ):
+            passes.clear()
+            call()
+            assert len(passes) == expected
 
     def test_single_generator_matches_dominating_strings(self):
         from itertools import product
