@@ -60,7 +60,7 @@ def kesten_moment(n: int, alphabet_size: int) -> int:
             if not ways:
                 continue
             if length + 1 <= n:
-                nxt[length + 1] += ways * (2 * alphabet_size if length == 0 else 2 * alphabet_size - 1)
+                nxt[length + 1] += ways * (2 * alphabet_size - (length > 0))
             if length > 0:
                 nxt[length - 1] += ways
         counts = nxt
@@ -73,20 +73,12 @@ def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:
         raise ValueError("need k >= 0 and alphabet_size >= 1")
     if k == 0:
         return [Word(alphabet_size, ())]
-    alphabet = [g for a in range(1, alphabet_size + 1) for g in (a, -a)]
-    alphabet.sort()
-    out: list[Word] = []
-    stack: list[tuple[int, ...]] = [(l,) for l in alphabet]
-    while stack:
-        prefix = stack.pop()
-        if len(prefix) == k:
-            if prefix[-1] != -prefix[0]:
-                out.append(Word(alphabet_size, prefix))
-            continue
-        for l in alphabet:
-            if l != -prefix[-1]:
-                stack.append(prefix + (l,))
-    return sorted(out, key=lambda w: w.letters)
+    # Extending each prefix of a level by the sorted alphabet keeps the next in order.
+    alphabet = sorted(g for a in range(1, alphabet_size + 1) for g in (a, -a))
+    level = [(l,) for l in alphabet]
+    for _ in range(k - 1):
+        level = [p + (l,) for p in level for l in alphabet if l != -p[-1]]
+    return [Word(alphabet_size, p) for p in level if p[-1] != -p[0]]
 
 
 @dataclass(frozen=True)
@@ -181,6 +173,15 @@ def census(
     return Census(alphabet_size, n, MappingProxyType(counts))
 
 
+def _violations(label: str, got: Mapping[str, int], want: Mapping[str, int]) -> list[str]:
+    """One line per class whose count in ``got`` differs from ``want``; absent counts 0."""
+    return [
+        f"{label}: class {key!r} counted {got.get(key, 0)}, predicted {want.get(key, 0)}"
+        for key in sorted(got.keys() | want.keys())
+        if got.get(key, 0) != want.get(key, 0)
+    ]
+
+
 @dataclass(frozen=True)
 class ExpansionReport:
     """Result of checking the census against the predicted class sizes."""
@@ -212,23 +213,13 @@ def verify_power_expansion(
     the counts must add up to (2N)^n.
     """
     tally = census(n, alphabet_size, budget=budget)
-    expected: dict[str, int] = {}
-    for k in range(n, 0, -2):
-        size = reduction_class_size(n, k, alphabet_size)
-        for v in cyclically_reduced_words(k, alphabet_size):
-            expected[word_to_text(v)] = size
-    if n % 2 == 0:
-        expected[""] = kesten_moment(n, alphabet_size)
-    violations = []
-    for key, count in sorted(tally.counts.items()):
-        want = expected.get(key)
-        if want is None:
-            violations.append(f"unexpected reduction class {key!r} with count {count}")
-        elif count != want:
-            violations.append(f"class {key!r}: census {count} != predicted {want}")
-    for key, want in sorted(expected.items()):
-        if key not in tally.counts:
-            violations.append(f"missing reduction class {key!r} (predicted {want})")
+    kesten = kesten_moment(n, alphabet_size)
+    expected = {
+        word_to_text(v): reduction_class_size(n, k, alphabet_size) if k else kesten
+        for k in range(n, -1, -2)
+        for v in cyclically_reduced_words(k, alphabet_size)
+    }
+    violations = _violations("census", tally.counts, expected)
     total = tally.total
     if total != (2 * alphabet_size) ** n:
         violations.append(f"census total {total} != {(2 * alphabet_size) ** n}")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping
 
 from .words import Word, _good_rotations, _is_good, _reduce_with_partners, is_cyclically_reduced
@@ -76,31 +76,27 @@ def _invalid_reason(
 ) -> str | None:
     if n < 1:
         return "a half-pairing needs at least one point"
-    seen: list[int] = list(singletons)
-    for a, b in pairs:
-        seen.extend((a, b))
-    if len(seen) != n or set(seen) != set(range(1, n + 1)):
+    mate = dict(pairs) | {b: a for a, b in pairs}
+    if 2 * len(pairs) + len(singletons) != n or mate.keys() | singletons != set(range(1, n + 1)):
         return f"blocks do not partition 1..{n}"
     if not singletons:
         return "a half-pairing needs at least one singleton (through string)"
-    # One bracket pass: a chord that does not close the innermost open chord
-    # crosses it.  The merged singletons must not cross a chord either, so a
-    # chord holds none or all of them.
-    mate = dict(pairs) | {b: a for a, b in pairs}
-    opened: list[tuple[int, int]] = []  # (open point, singletons before it)
-    passed, separating = 0, None
-    for i in range(1, n + 1):
-        a = mate.get(i, 0)
-        if not a:
-            passed += 1
-        elif a > i:
-            opened.append((i, passed))
-        else:
-            c, before = opened.pop()
-            if c != a:
-                return f"pairs {(a, i)} and {(c, mate[c])} cross"
-            if separating is None and 0 < passed - before < len(singletons):
-                separating = f"pair {(a, i)} separates the through strings"
+    # One bracket pass, once round from just after a singleton s: a chord that does not
+    # close the innermost open chord crosses it, and as s lies outside every chord, one
+    # separates the merged singletons exactly when a singleton is met inside it.
+    chord = lambda i: (min(i, mate[i]), max(i, mate[i]))
+    s = min(singletons)
+    opened: list[int] = []
+    separating = None
+    for j in range(n):
+        i = (s + j) % n + 1
+        if i not in mate:
+            if opened and separating is None:
+                separating = f"pair {chord(opened[-1])} separates the through strings"
+        elif (mate[i] - s - 1) % n > j:
+            opened.append(i)
+        elif (c := opened.pop()) != mate[i]:
+            return f"pairs {chord(i)} and {chord(c)} cross"
     return separating
 
 
@@ -182,18 +178,18 @@ def admissible_half_pairing(w: Word, rotation: int | None = None) -> HalfPairing
         raise ValueError("the empty word has no half-pairing")
     start = rotation % n if rotation else 0
     letters = w.letters[start:] + w.letters[:start]
-    survivors, pairs = _reduce_with_partners(letters)
+    survivors, partner = _reduce_with_partners(letters)
     if not survivors:
         raise ValueError("word reduces to the identity; no half-pairing exists")
     if not _is_good(letters, survivors):
         if rotation is not None:
             raise ValueError(f"rotation {start} does not have good reduction")
-        start = _good_rotations(letters, survivors, pairs)[0]
-        survivors, pairs = _reduce_with_partners(letters[start:] + letters[:start])
+        start = _good_rotations(letters, survivors, partner)[0]
+        survivors, partner = _reduce_with_partners(letters[start:] + letters[:start])
     back = lambda j: (start + j) % n + 1
     return HalfPairing(
         n,
-        frozenset((back(i), back(j)) for i, j in pairs),
+        frozenset((back(i), back(j)) for j, i in enumerate(partner) if i >= 0),
         frozenset(back(j) for j in survivors),
     )
 
@@ -237,25 +233,29 @@ def to_dots(p: HalfPairing) -> DotDiagram:
 def from_dots(d: DotDiagram) -> HalfPairing:
     """Match each black dot clockwise to its white partner; leftover whites are singletons.
 
-    One bracket pass over two laps of the circle: a black opens in the first
-    lap only, and a white not yet matched closes the innermost open black.
-    Needs strictly fewer blacks than whites so at least one singleton remains.
+    One bracket pass, once round from just after the first lowest point of the
+    running count of blacks less whites: the count there is below every other
+    count of the lap, so no black is left open.  Needs strictly fewer blacks
+    than whites so at least one singleton remains.
     """
     colors = d.colors
     n = d.n
     if 2 * colors.count("B") >= n:
         raise ValueError("need fewer black dots than white dots")
+    balance = list(accumulate(1 if c == "B" else -1 for c in colors))
+    start = balance.index(min(balance)) + 1
     opened: list[int] = []
-    mate: dict[int, int] = {}  # white -> its black
-    for i in range(2 * n):
+    pairs: list[tuple[int, int]] = []
+    singles: list[int] = []
+    for i in range(start, start + n):
         t = i % n + 1
         if colors[t - 1] == "B":
-            if i < n:
-                opened.append(t)
-        elif opened and t not in mate:
-            mate[t] = opened.pop()
-    singles = frozenset(t for t in range(1, n + 1) if colors[t - 1] == "W" and t not in mate)
-    return HalfPairing(n, frozenset((b, w) for w, b in mate.items()), singles)
+            opened.append(t)
+        elif opened:
+            pairs.append((opened.pop(), t))
+        else:
+            singles.append(t)
+    return HalfPairing(n, frozenset(pairs), frozenset(singles))
 
 
 def enumerate_half_pairings(n: int, k: int) -> list[HalfPairing]:

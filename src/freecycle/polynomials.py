@@ -19,6 +19,7 @@ from .counting import (
     DEFAULT_BUDGET,
     Census,
     _census_words,
+    _violations,
     census,
     cyclically_reduced_words,
     kesten_moment,
@@ -233,15 +234,10 @@ def verify_poly_expansion(
         _census_words(j, alphabet_size, budget)
     target = {word_to_text(v): 1 for v in cyclically_reduced_words(n, alphabet_size)}
     censuses = {j: census(j, alphabet_size, budget=budget) for j in degrees}
-    violations = []
 
     triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)
-    triangle_exact = triangle == target
-    if not triangle_exact:
-        for key in sorted(set(triangle) | set(target)):
-            got, want = triangle.get(key, 0), target.get(key, 0)
-            if got != want:
-                violations.append(f"triangle: class {key!r} has coefficient {got}, want {want}")
+    violations = _violations("triangle", triangle, target)
+    triangle_exact = not violations
 
     rec = _reduced_expansion(fluctuation_poly_recurrence(n, alphabet_size, "x"), censuses)
     residual: int | None = rec.pop("", 0) - target.get("", 0)

@@ -98,30 +98,28 @@ def rotate(w: Word, r: int) -> Word:
     return Word(w.alphabet_size, w.letters[r:] + w.letters[:r])
 
 
-def _reduce_with_partners(
-    letters: tuple[int, ...],
-) -> tuple[list[int], list[tuple[int, int]]]:
+def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int]]:
     """The one cancellation pass, a left-to-right stack of positions.
 
-    Returns the 0-based positions of the surviving letters, in order, and the
-    cancelled (earlier, later) position pairs, as repeatedly cancelling the
-    leftmost adjacent inverse pair gives them.  The stack is empty just before
+    Returns the 0-based positions of the surviving letters, in order, and a
+    list ``partner`` that holds, at the later end of each cancelled pair, the
+    earlier position it cancels (-1 elsewhere), as repeatedly cancelling the
+    leftmost adjacent inverse pair pairs them.  The stack is empty just before
     the first survivor is pushed and never after, so its position is the
     length of the longest prefix reducing to 1 (all letters if none survive),
     and the word has good reduction iff position 0 survives and does not
     cancel the last survivor.  Every reduction in this module reads this pass.
     """
     stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
+    partner = [-1] * len(letters)
     push = stack.append
     pop = stack.pop
-    cancel = pairs.append
     for i, l in enumerate(letters):
         if stack and letters[stack[-1]] == -l:
-            cancel((pop(), i))
+            partner[i] = pop()
         else:
             push(i)
-    return stack, pairs
+    return stack, partner
 
 
 def _reduce(letters: tuple[int, ...]) -> list[int]:
@@ -179,7 +177,7 @@ def has_good_reduction(w: Word) -> bool:
 
 
 def _good_rotations(
-    letters: tuple[int, ...], survivors: list[int], pairs: list[tuple[int, int]]
+    letters: tuple[int, ...], survivors: list[int], partner: list[int]
 ) -> list[int]:
     """The good rotations in ascending order, read off rotation 0's kernel pass.
 
@@ -197,14 +195,13 @@ def _good_rotations(
         j += 1
     c_inv = [-l for l in reversed(u[j : len(u) - j])]
     end = u[:j] + c_inv * (len(letters) // len(c_inv) + 1)
-    pops = {later for _, later in pairs}
     # on_end counts the bottom stack letters that spell a prefix of the end, so
     # the height is on_end steps toward it less depth - on_end steps away.
     depth = on_end = 0
     h = []
     for t, l in enumerate(letters):
         h.append(2 * on_end - depth)
-        if t in pops:
+        if partner[t] >= 0:
             depth -= 1
             on_end = min(on_end, depth)
         else:
@@ -251,7 +248,7 @@ class ReductionProfile:
         return len(self.values)
 
 
-MAX_PROFILE_HORIZON = 10**6  # values; building this many took about 110 MB
+MAX_PROFILE_HORIZON = 10**6  # values; building this many took about 70 MB
 
 
 def periodicity_bound(n: int, k: int) -> int:
@@ -286,11 +283,8 @@ def reduction_profile(w: Word, horizon: int | None = None) -> ReductionProfile:
         raise ValueError(f"horizon {horizon} exceeds the limit of {MAX_PROFILE_HORIZON} values")
     # A letter adds 1 to the reduction length; the later letter of a cancelled
     # pair removes itself and its partner, a net step of -1.
-    _, pairs = _reduce_with_partners((w.letters * -(-horizon // n))[:horizon])
-    steps = [1] * horizon
-    for _, later in pairs:
-        steps[later] = -1
-    values = tuple(accumulate(steps))
+    _, partner = _reduce_with_partners((w.letters * -(-horizon // n))[:horizon])
+    values = tuple(accumulate(1 if p < 0 else -1 for p in partner))
     period_start = 1
     for i in range(horizon - n, 0, -1):  # 1-based index i, checked high to low
         if values[i - 1 + n] != values[i - 1] + k:

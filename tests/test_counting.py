@@ -77,14 +77,16 @@ class TestCyclicallyReducedWords:
             assert is_cyclically_reduced(w)
 
     def test_exhaustive_against_filter(self):
-        alphabet = [1, -1, 2, -2]
-        for k in range(1, 6):
-            expected = {
-                letters
-                for letters in product(alphabet, repeat=k)
-                if is_cyclically_reduced(Word(2, letters))
-            }
-            assert {w.letters for w in cyclically_reduced_words(k, 2)} == expected
+        # the filter keeps product order over the sorted alphabet: lexicographic order
+        for n_gens in (2, 3):
+            alphabet = sorted(g for a in range(1, n_gens + 1) for g in (a, -a))
+            for k in range(1, 6):
+                expected = [
+                    letters
+                    for letters in product(alphabet, repeat=k)
+                    if is_cyclically_reduced(Word(n_gens, letters))
+                ]
+                assert [w.letters for w in cyclically_reduced_words(k, n_gens)] == expected
 
 
 class TestCensus:
@@ -213,6 +215,19 @@ class TestVerifyPowerExpansion:
         data = report.to_json()
         assert data["ok"] is True
         assert data["violations"] == []
+
+    def test_reports_missing_changed_and_extra_classes(self, monkeypatch):
+        # census(3, 1) is {a: 3, A: 3, aaa: 1, AAA: 1}; the edits keep the total at 8
+        counts = dict(census(3, 1).counts)
+        del counts["aaa"]
+        counts["a"] -= 1
+        counts["aa"] = 2
+        monkeypatch.setattr(counting, "census", lambda *a, **kw: counting.Census(1, 3, counts))
+        report = verify_power_expansion(3, 1)
+        assert not report.ok and report.total == 8
+        assert len(report.violations) == 3
+        for key, line in zip(["a", "aa", "aaa"], report.violations):
+            assert f"class {key!r} " in line
 
 
 class TestMomentTable:

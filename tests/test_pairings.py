@@ -76,10 +76,14 @@ class TestHalfPairingValidity:
         with pytest.raises(ValueError, match="cross"):
             HalfPairing(5, frozenset({(1, 3), (2, 4)}), frozenset({5}))
 
+    def test_separating_pair_rejected(self):
+        with pytest.raises(ValueError, match="separates"):
+            HalfPairing(4, frozenset({(1, 3)}), frozenset({2, 4}))
+
     def test_matches_brute_force_filter(self):
         from oracles import pair_singleton_partitions
 
-        for n in range(1, 9):
+        for n in range(1, 11):
             expected = {
                 (p.pairs, p.singletons) for p in brute_force_half_pairings(n)
             }
