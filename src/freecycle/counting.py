@@ -4,22 +4,24 @@ For k >= 1, the number of length-n words whose standard cyclic reduction is a
 given reduced word of length k depends only on n, k and the alphabet size:
 (2N-1)^((n-k)/2) * C(n, (n-k)/2).  The k = 0 class (words reducible to the
 identity) follows no such formula; its sizes are the moments of the Kesten
-measure and come from a walk on reduced lengths.  The census enumerates every
-word of a given length outright and tallies reductions, which is what the
-formula and the moments are verified against.
+measure and come from a walk on reduced lengths.  The census, which the
+formula and the moments are verified against, is an exact tally over every
+word of a given length, one word per orbit of signed generator relabelings:
+a relabeling keeps every test of whether two letters cancel, so it carries
+the standard reduction of a word to that of its image.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Mapping
 
-from .pairings import _standard_reduction_letters
-from .words import Word, parse_word, word_to_text
+from .words import _ALPHABET, Word, _good_rotations, parse_word, word_to_text
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -44,8 +46,6 @@ def reduction_class_size(n: int, k: int, alphabet_size: int) -> int:
 def kesten_moment(n: int, alphabet_size: int) -> int:
     """Number of length-n words over 2N letters that reduce to the identity.
 
-    Dynamic programming over the reduced length of the prefix: from length 0
-    all 2N letters ascend, from positive length 2N-1 ascend and one descends.
     These are the moments of the spectral measure of the sum of all generators
     and their inverses.
     """
@@ -53,18 +53,31 @@ def kesten_moment(n: int, alphabet_size: int) -> int:
         raise ValueError("need n >= 0")
     if alphabet_size < 1:
         raise ValueError("need alphabet_size >= 1")
-    counts = [1] + [0] * n
-    for _ in range(n):
-        nxt = [0] * (n + 1)
-        for length, ways in enumerate(counts):
-            if not ways:
-                continue
-            if length + 1 <= n:
+    return _kesten_moments(n, alphabet_size)[n]
+
+
+def _kesten_moments(n: int, alphabet_size: int) -> list[int]:
+    """kesten_moment(i) for i = 0..n, from one walk on the reduced length of the prefix.
+
+    From length 0 all 2N letters ascend, from positive length 2N-1 ascend and
+    one descends.  After i letters only the lengths up to min(i, n - i) are
+    kept, since a longer prefix cannot return to 0 within n letters, and only
+    those of the parity of i can be reached.
+    """
+    counts = [1]
+    moments = [1]
+    for i in range(1, n + 1):
+        top = min(i, n - i)
+        nxt = [0] * (top + 1)
+        for length in range(1 - i % 2, len(counts), 2):
+            ways = counts[length]
+            if length < top:
                 nxt[length + 1] += ways * (2 * alphabet_size - (length > 0))
             if length > 0:
                 nxt[length - 1] += ways
         counts = nxt
-    return counts[0]
+        moments.append(counts[0])
+    return moments
 
 
 def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:
@@ -107,30 +120,121 @@ class Census:
         ]
 
 
-def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> dict[str, int]:
-    """Tally standard reductions for word indices in [start, stop).
+# Canonical tallies: (standard reduction, generators used) -> canonical words.
+_Tally = dict[tuple[tuple[int, ...], int], int]
 
-    Words are indexed in ``product`` order over the letters 1..N, -1..-N, last
-    letter fastest, so a range maps to a contiguous slab of words.
-    Tallies are kept on letter tuples; each class is rendered to text once.
+
+def _canonical_counts(n: int, alphabet_size: int) -> list[list[int]]:
+    """size[r][j] counts the ways to end a canonical word in r letters after j generators.
+
+    A canonical word uses its generators in the order 1, 2, ... of first use,
+    each first use positive: after j generators come 2j letters to reuse and,
+    while j < N, generator j + 1.  size[n][0] counts the canonical words.
     """
-    symbols = [*range(1, alphabet_size + 1), *range(-1, -alphabet_size - 1, -1)]
-    counts: dict[tuple[int, ...], int] = {}
-    for letters in islice(product(symbols, repeat=n), start, stop):
-        key = _standard_reduction_letters(letters)
-        counts[key] = counts.get(key, 0) + 1
-    return {word_to_text(Word(alphabet_size, key)): count for key, count in counts.items()}
+    top = min(n, alphabet_size)
+    size = [[1] * (top + 2)]  # column top + 1 is never reached
+    for _ in range(n):
+        prev = size[-1]
+        size.append([2 * j * prev[j] + (j < alphabet_size) * prev[j + 1] for j in range(top + 1)])
+        size[-1].append(0)
+    return size
 
 
-def _census_words(n: int, alphabet_size: int, budget: int) -> int:
-    """The (2N)^n words of census(n, N); refuses if (2N)^n * n word-steps exceed budget."""
-    total = (2 * alphabet_size) ** n
-    steps = total * max(n, 1)
+def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> _Tally:
+    """Tally (standard reduction, generators used) over canonical words [start, stop).
+
+    Canonical words are indexed depth first, trying 1..j, -1..-j and then j + 1
+    after j generators, so a range is a contiguous slab of subtrees.  The
+    reduction stack and partners are carried down the tree and undone on the
+    way up; a leaf reads its good rotations off them.
+    """
+    size = _canonical_counts(n, alphabet_size)
+    moves = [
+        [(l, j) for l in (*range(1, j + 1), *range(-1, -j - 1, -1))]
+        + [(j + 1, j + 1)] * (j < alphabet_size)
+        for j in range(min(n, alphabet_size) + 1)
+    ]
+    letters = [0] * n
+    partner = [-1] * n
+    stack: list[int] = []
+    tally: _Tally = {}
+
+    def walk(i: int, j: int, first: int) -> None:
+        # letters[:i] uses j generators; the words below it are numbered from first on
+        if i == n:
+            key = (tuple(map(letters.__getitem__, _good_rotations(letters, stack, partner))), j)
+            tally[key] = tally.get(key, 0) + 1
+            return
+        below = size[n - i - 1]
+        for l, used in moves[j]:
+            last = first + below[used]
+            if first < stop and start < last:
+                letters[i] = l
+                if stack and letters[stack[-1]] == -l:
+                    partner[i] = stack.pop()
+                    walk(i + 1, used, first)
+                    stack.append(partner[i])
+                    partner[i] = -1
+                else:
+                    stack.append(i)
+                    walk(i + 1, used, first)
+                    stack.pop()
+            first = last
+
+    if start < stop:  # for n = 0 the root is the one leaf, and no move checks the range
+        walk(0, 0, 0)
+    return tally
+
+
+def _expand(tally: _Tally, alphabet_size: int) -> dict[str, int]:
+    """Class counts by text from a canonical tally.
+
+    A canonical word on j generators stands for its 2^j N!/(N-j)! signed
+    relabelings.  Each reduction is relabeled to its own canonical form on m
+    generators, whose 2^m N!/(N-m)! relabelings are distinct classes with
+    one count, so each class is rendered once.
+    """
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for (key, j), count in tally.items():
+        key, m = _relabel_by_first_use(key)
+        group = groups.setdefault(m, {})
+        weight = 2 ** (j - m) * math.perm(alphabet_size - m, j - m)
+        group[key] = group.get(key, 0) + count * weight
+    alphabetic = alphabet_size <= 26
+    counts: dict[str, int] = {}
+    for m, group in groups.items():
+        spelled = " ".join(word_to_text(Word(alphabet_size, key)) for key in group)
+        for gens in permutations(range(1, alphabet_size + 1), m):
+            for signs in product((1, -1), repeat=m):
+                image = [0, *(s * g for s, g in zip(signs, gens))]
+                image += [-x for x in reversed(image[1:])]  # image[-l] is the image of -l
+                if alphabetic:  # relabel the spelling letter by letter, every key at once
+                    table = {ord(_ALPHABET[l]): _ALPHABET[image[l]] for l in range(-m, m + 1)}
+                    texts = spelled.translate(table).split(" ")
+                else:
+                    texts = [
+                        word_to_text(Word(alphabet_size, tuple(map(image.__getitem__, key))))
+                        for key in group
+                    ]
+                counts.update(zip(texts, group.values()))
+    return counts
+
+
+def _relabel_by_first_use(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """The canonical relabeling of a word and the number of generators it uses."""
+    label: dict[int, int] = {}
+    for l in letters:
+        label.setdefault(abs(l), (len(label) + 1) * (1 if l > 0 else -1))
+    return tuple(label[l] if l > 0 else -label[-l] for l in letters), len(label)
+
+
+def _census_words(n: int, alphabet_size: int, budget: int) -> None:
+    """Refuses census(n, N) if its (2N)^n words take more than budget word-steps, n each."""
+    steps = (2 * alphabet_size) ** n * max(n, 1)
     if steps > budget:
         raise BudgetExceededError(
             f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
         )
-    return total
 
 
 def census(
@@ -143,34 +247,38 @@ def census(
 ) -> Census:
     """Standard cyclic reduction tally over all (2N)^n words of length n.
 
-    Exhaustive and exact; refuses to run (rather than approximating) when the
-    enumeration would exceed ``budget`` word-steps.  ``jobs`` splits the
-    counter range across processes, at most one per core; results do not
-    depend on the split.  Results are not cached, so ``cache`` has no effect.
+    Exhaustive over the orbits of signed generator relabelings and exact: one
+    canonical word per orbit is reduced, and since a relabeling preserves
+    every cancellation test, its reduction's relabelings take the orbit's
+    2^j N!/(N-j)! words.  Refuses to run (rather than approximating) when the
+    (2N)^n words would exceed ``budget`` word-steps.  ``jobs`` splits the
+    canonical words into contiguous slabs across processes, at most one per
+    core; results do not depend on the split.  Results are not cached, so
+    ``cache`` has no effect.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
-    total = _census_words(n, alphabet_size, budget)
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
+    _census_words(n, alphabet_size, budget)
+    total = _canonical_counts(n, alphabet_size)[n][0]
     jobs = min(jobs, os.cpu_count() or 1)
-    if jobs <= 1:
-        counts = _census_range(n, alphabet_size, 0, total)
+    if jobs == 1:
+        slabs = [_census_range(n, alphabet_size, 0, total)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
         bounds = [total * i // jobs for i in range(jobs + 1)]
-        counts = {}
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                _census_range,
-                [n] * jobs,
-                [alphabet_size] * jobs,
-                bounds[:-1],
-                bounds[1:],
+            slabs = list(
+                pool.map(
+                    _census_range, [n] * jobs, [alphabet_size] * jobs, bounds[:-1], bounds[1:]
+                )
             )
-            for chunk in chunks:
-                for k_, v in chunk.items():
-                    counts[k_] = counts.get(k_, 0) + v
-    return Census(alphabet_size, n, MappingProxyType(counts))
+    tally: Counter[tuple[tuple[int, ...], int]] = Counter()
+    for slab in slabs:
+        tally.update(slab)  # adds counts
+    return Census(alphabet_size, n, MappingProxyType(_expand(tally, alphabet_size)))
 
 
 def _violations(label: str, got: Mapping[str, int], want: Mapping[str, int]) -> list[str]:

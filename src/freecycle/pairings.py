@@ -201,12 +201,9 @@ def standard_cyclic_reduction(w: Word) -> Word:
     the one ``cyclic_reduce`` returns.  Words reducible to the identity reduce
     to the empty word by convention.
     """
-    return Word(w.alphabet_size, _standard_reduction_letters(w.letters))
-
-
-def _standard_reduction_letters(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """standard_cyclic_reduction on a raw letter tuple; the census calls it per word."""
-    return tuple(letters[r] for r in _good_rotations(letters, *_reduce_with_partners(letters)))
+    letters = w.letters
+    rotations = _good_rotations(letters, *_reduce_with_partners(letters))
+    return Word(w.alphabet_size, tuple(letters[r] for r in rotations))
 
 
 @dataclass(frozen=True)

@@ -19,10 +19,10 @@ from .counting import (
     DEFAULT_BUDGET,
     Census,
     _census_words,
+    _kesten_moments,
     _violations,
     census,
     cyclically_reduced_words,
-    kesten_moment,
     reduction_class_size,
 )
 from .words import word_to_text
@@ -170,15 +170,24 @@ def fluctuation_poly(n: int, alphabet_size: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    basis: list[IntPolynomial] = [IntPolynomial(1)]
-    for j in range(1, n + 1):
-        p = IntPolynomial.monomial(j)
+    parity = n % 2
+    moments = _kesten_moments(n, alphabet_size)
+    # Only basis polynomials of the parity of n enter, and each has only terms of
+    # its own parity: basis[s] lists the coefficients of degree parity, parity + 2,
+    # ..., parity + 2s of the one of degree parity + 2s.
+    basis: list[list[int]] = []
+    for j in range(parity, n + 1, 2):
+        p = [0] * len(basis) + [1]
         for k in range(j - 2, 0, -2):
-            p = p - reduction_class_size(j, k, alphabet_size) * basis[k]
-        if j % 2 == 0:
-            p = p - kesten_moment(j, alphabet_size) * basis[0]
+            size = reduction_class_size(j, k, alphabet_size)
+            lower = basis[k // 2]
+            p[: len(lower)] = [a - size * b for a, b in zip(p, lower)]
+        if j and not parity:
+            p[0] -= moments[j]
         basis.append(p)
-    return basis[n]
+    coeffs = [0] * (n + 1)
+    coeffs[parity::2] = basis[-1]
+    return IntPolynomial(*coeffs)
 
 
 @dataclass(frozen=True)

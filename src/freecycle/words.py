@@ -76,12 +76,13 @@ def parse_word(text: str, alphabet_size: int) -> Word:
     return Word(alphabet_size, tuple(letters))
 
 
+_ALPHABET = " abcdefghijklmnopqrstuvwxyzZYXWVUTSRQPONMLKJIHGFEDCBA"  # [l] spells letter l
+
+
 def word_to_text(w: Word) -> str:
     """Alphabetic when the alphabet fits in a-z, else a JSON array; the empty word is ``""``."""
     if w.alphabet_size <= 26 or not w.letters:
-        return "".join(
-            chr(ord("a") + l - 1) if l > 0 else chr(ord("A") - l - 1) for l in w.letters
-        )
+        return "".join(map(_ALPHABET.__getitem__, w.letters))
     return json.dumps(list(w.letters))
 
 

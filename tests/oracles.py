@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from freecycle import HalfPairing, Word, cyclic_reduce, word_to_text
+from freecycle import HalfPairing, Word, cyclic_reduce, standard_cyclic_reduction, word_to_text
 from freecycle.words import default_profile_horizon
 
 
@@ -123,6 +123,17 @@ def naive_census(n: int, alphabet_size: int) -> dict[str, int]:
     for letters in product(alphabet, repeat=n):
         w = Word(alphabet_size, letters)
         key = word_to_text(Word(alphabet_size, tuple(letters[r] for r in naive_good_rotations(w))))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def plain_census(n: int, alphabet_size: int) -> dict[str, int]:
+    """Tally the standard cyclic reduction of every length-n word, one word at a time,
+    in product order over the letters 1..N, -1..-N, keyed by text."""
+    alphabet = [*range(1, alphabet_size + 1), *range(-1, -alphabet_size - 1, -1)]
+    counts: dict[str, int] = {}
+    for letters in product(alphabet, repeat=n):
+        key = word_to_text(standard_cyclic_reduction(Word(alphabet_size, letters)))
         counts[key] = counts.get(key, 0) + 1
     return counts
 

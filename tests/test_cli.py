@@ -132,6 +132,12 @@ def test_census_budget_exceeded(capsys):
     assert code == 2 and "budget" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_census_jobs_below_one_rejected(capsys, jobs):
+    code, out, err = run(capsys, "census", "--len", "3", "--gens", "2", "--jobs", jobs)
+    assert (code, out) == (2, "") and "jobs" in err
+
+
 def test_verify_xtoq(capsys):
     code, out, _ = run(capsys, "verify-xtoq", "--len", "4", "--gens", "2")
     assert code == 0 and out.endswith("PASS")

@@ -1,7 +1,7 @@
 import concurrent.futures
 import math
 import os
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -19,7 +19,7 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import naive_census
+from oracles import naive_census, naive_good_rotations, plain_census
 
 
 class TestClassSize:
@@ -59,6 +59,13 @@ class TestKestenMoments:
     def test_single_generator_is_central_binomial(self):
         for n in range(0, 12, 2):
             assert kesten_moment(n, 1) == math.comb(n, n // 2)
+
+    def test_one_walk_gives_every_moment(self):
+        for n_gens in (1, 2, 3):
+            moments = counting._kesten_moments(40, n_gens)
+            assert moments == [kesten_moment(i, n_gens) for i in range(41)]
+        central = [math.comb(i, i // 2) for i in range(0, 41, 2)]
+        assert counting._kesten_moments(40, 1)[::2] == central
 
     def test_matches_census_empty_class(self):
         assert kesten_moment(4, 2) == census(4, 2).counts[""]
@@ -112,11 +119,8 @@ class TestCensus:
                 assert census(n, n_gens).total == (2 * n_gens) ** n
 
     def test_matches_per_word_reduction(self):
-        expected: dict[str, int] = {}
-        for letters in product([1, -1, 2, -2], repeat=5):
-            key = word_to_text(standard_cyclic_reduction(Word(2, letters)))
-            expected[key] = expected.get(key, 0) + 1
-        assert dict(census(5, 2).counts) == expected
+        for n, n_gens in ((5, 2), (8, 2), (6, 3), (12, 1), (2, 27)):
+            assert dict(census(n, n_gens).counts) == plain_census(n, n_gens)
 
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
@@ -132,7 +136,8 @@ class TestCensus:
 
         monkeypatch.setattr(counting, "_census_range", counted)
         first, second = census(3, 2), census(3, 2)
-        assert calls == [(3, 2, 0, 64)] * 2
+        # the 64 words of length 3 over N = 2 have 10 canonical representatives
+        assert calls == [(3, 2, 0, 10)] * 2
         assert dict(first.counts) == dict(second.counts)
 
     def test_parallel_matches_serial(self):
@@ -180,6 +185,47 @@ class TestCensus:
             for n in range(n_max + 1):
                 assert dict(census(n, n_gens).counts) == naive_census(n, n_gens)
         assert dict(census(5, 2, jobs=2).counts) == naive_census(5, 2)
+
+    def test_slab_split_inside_the_canonical_tree(self):
+        # census(6, 3) has 1,248 canonical words; two slabs meet at 624, inside the
+        # subtree of the prefix "abb"
+        assert dict(census(6, 3, jobs=2).counts) == dict(census(6, 3).counts)
+        whole = counting._census_range(6, 3, 0, 1248)
+        for cut in (1, 236, 624, 1247):
+            merged = counting._census_range(6, 3, 0, cut)
+            for key, count in counting._census_range(6, 3, cut, 1248).items():
+                merged[key] = merged.get(key, 0) + count
+            assert merged == whole
+        # with more slabs than canonical words some slabs are empty
+        assert counting._census_range(0, 3, 0, 0) == counting._census_range(2, 3, 5, 5) == {}
+        assert dict(census(0, 3, jobs=2).counts) == {"": 1}
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            census(3, 2, jobs=jobs)
+
+    def test_reduction_commutes_with_signed_relabelings(self):
+        # The census reduces one word per orbit of signed relabelings; this checks what
+        # that rests on, word by word: std(sigma w) = sigma(std w), with std(w) read at
+        # the good rotations that the rotation-by-rotation oracle finds.
+        for n_gens in (1, 2):
+            alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
+            relabelings = [
+                {e * g: e * s * p for g, p, s in zip(alphabet[::2], perm, signs) for e in (1, -1)}
+                for perm in permutations(range(1, n_gens + 1))
+                for signs in product((1, -1), repeat=n_gens)
+            ]
+            assert len(relabelings) == 2**n_gens * math.factorial(n_gens)
+            for n in range(1, 8):
+                for letters in product(alphabet, repeat=n):
+                    w = Word(n_gens, letters)
+                    reduction = tuple(letters[r] for r in naive_good_rotations(w))
+                    for sigma in relabelings:
+                        image = Word(n_gens, tuple(sigma[l] for l in letters))
+                        assert standard_cyclic_reduction(image).letters == tuple(
+                            sigma[l] for l in reduction
+                        )
 
     def test_class_sizes_match_formula(self):
         for n_gens, n_max in ((1, 9), (2, 7)):

@@ -94,15 +94,15 @@ class TestFluctuationPoly:
             fluctuation_poly_recurrence(0, 2)
 
     def test_recurrence_equals_triangle_for_odd_n(self):
-        for n_gens in (1, 2):
-            for n in (1, 3, 5, 7):
+        for n_gens in (1, 2, 3):
+            for n in range(1, 40, 2):
                 assert fluctuation_poly_recurrence(n, n_gens, "x") == fluctuation_poly(n, n_gens)
 
     def test_recurrence_off_by_constant_for_even_n(self):
-        for n_gens in (1, 2):
-            for n in (2, 4, 6, 8):
+        for n_gens in (1, 2, 3):
+            for n in range(2, 40, 2):
                 diff = fluctuation_poly_recurrence(n, n_gens, "x") - fluctuation_poly(n, n_gens)
-                assert diff.degree <= 0
+                assert diff == IntPolynomial(4 - 2 * n_gens)
         # the n = 2 constant is 4 - 2N: zero exactly at N = 2
         assert (fluctuation_poly_recurrence(2, 2, "x") - fluctuation_poly(2, 2)).is_zero
         assert (fluctuation_poly_recurrence(2, 1, "x") - fluctuation_poly(2, 1)).coeffs == (2,)
