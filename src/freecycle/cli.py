@@ -163,6 +163,9 @@ def cmd_rmt(args) -> Output:
         matrix_size=args.size, alphabet_size=args.gens, trials=args.trials,
         max_power=args.max_power, seed=seed, z_threshold=args.z_threshold,
     )
+    k_max = args.k_max if args.k_max is not None else min(4, cfg.max_power)
+    if not 0 <= k_max <= cfg.max_power:
+        raise ValueError("need 0 <= --k-max <= --max-power (0 disables the diagonalization check)")
     samples = rmt.sample_traces(cfg)
     moments = []
     for p in range(1, cfg.max_power + 1):
@@ -170,7 +173,6 @@ def cmd_rmt(args) -> Output:
         ref = counting.kesten_moment(p, cfg.alphabet_size)
         z = (est - ref) / se if se > 0 else 0.0
         moments.append({"p": p, "estimate": est, "se": se, "kesten": ref, "z": z})
-    k_max = args.k_max if args.k_max is not None else min(4, cfg.max_power)
     report = rmt.diagonalization_from_samples(samples, k_max) if k_max > 0 else None
     tables = [] if report is None else [
         ("basis", report.basis_cov, report.basis_se, report.basis_z),

@@ -7,6 +7,12 @@ of centered traces of polynomials in X.  The diagonalization report checks
 statistically that the exact polynomial family from :mod:`.polynomials` kills
 the off-diagonal covariances while plain monomials do not.
 
+The traces depend on (U_1, ..., U_N) only up to simultaneous conjugation, so
+U_1 is drawn as a sparse CMV matrix whose spectrum has the law of a Haar
+unitary's (one O(m) draw and no QR), and only U_2..U_N as dense Haar matrices.
+The power traces come from matrix products, or from one eigendecomposition
+when max_power is above 8.
+
 Every trial draws from its own child stream of the master seed, so its draws
 depend only on the seed and its index.  Results are reproducible bit for
 bit only at a fixed BLAS thread count: changing it can move the last digits.
@@ -42,23 +48,91 @@ class SimConfig:
             raise ValueError("need trials >= 2")
         if self.max_power < 1:
             raise ValueError("need max_power >= 1")
+        if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
+            raise ValueError("need a finite z_threshold > 0")
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
     """An m x m unitary drawn from Haar measure.
 
-    QR of a complex Ginibre matrix, with the unitary factor's column phases
-    fixed so the triangular factor has a positive real diagonal; without that
-    normalization the distribution would not be Haar.
+    QR of a complex Ginibre matrix (real parts drawn first, then imaginary
+    parts), with the unitary factor's column phases fixed so the triangular
+    factor has a positive real diagonal; without that normalization the
+    distribution would not be Haar.  The Ginibre matrix is left unscaled:
+    a positive scale changes only the triangular factor.
     """
     if m < 1:
         raise ValueError("need m >= 1")
+    z = np.empty((m, m), dtype=complex)
     while True:
-        z = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / math.sqrt(2)
+        z.real, z.imag = rng.standard_normal((2, m, m))
         q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         if np.all(np.abs(d) > 0) and np.all(np.isfinite(q)):
             return q * (d / np.abs(d))
+
+
+def _cue_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """An m x m unitary whose eigenvalues have the law of a Haar unitary's.
+
+    The CMV matrix C = L M of Killip and Nenciu (IMRN 2004): L is the block sum
+    T_0 + T_2 + ... and M is 1 + T_1 + T_3 + ..., where the block
+    T_k = [[conj(a_k), r_k], [r_k, -a_k]] sits on rows and columns k, k + 1,
+    r_k = sqrt(1 - |a_k|^2), and the last block is the 1 x 1 conj(a_{m-1}).
+    The a_k are independent with uniform phases, |a_k|^2 ~ Beta(1, m - k - 1)
+    for k < m - 1, and |a_{m-1}| = 1.  Draws m - 1 radii, then m phases; C has
+    at most 4 nonzeros per row.
+    """
+    radius2 = np.append(1 - rng.random(m - 1) ** (1 / np.arange(m - 1, 0, -1)), 1.0)
+    # Index k + 1 holds a_k and r_k; a_{-1} = -1 with r_{-1} = 0 makes M's leading 1
+    # the lower corner of a block T_{-1} that the matrix cuts off.
+    a = np.append(-1, np.sqrt(radius2) * np.exp(2j * np.pi * rng.random(m)))
+    r = np.append(0.0, np.sqrt(1 - radius2))
+    i = np.arange(m)
+
+    def rows(first: int):
+        """Per row of the block sum from T_first on: diagonal, off-diagonal and its column."""
+        k = i - (i - first) % 2
+        top = k == i
+        diagonal = np.where(top, a[k + 1].conj(), -a[k + 1])
+        return diagonal, r[k + 1], np.clip(np.where(top, i + 1, i - 1), 0, m - 1)
+
+    diagonal, off, col = rows(1)
+    right = np.zeros((m, m), dtype=complex)
+    right[i, i] = diagonal
+    right[i, col] += off  # a clipped column is the row's own, with off = r = 0
+    # Each row of L has one partner row, so a row of L M mixes two rows of M.
+    diagonal, off, col = rows(0)
+    return diagonal[:, None] * right + off[:, None] * right[col]
+
+
+def _trial_unitaries(cfg: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
+    """One trial's U_1, ..., U_N: a CMV matrix with the Haar spectrum, then N - 1
+    Haar unitaries, drawn in that order from rng.
+
+    Tr X^p is a sum of traces of words in the U_i, which simultaneous conjugation
+    leaves unchanged.  Conjugating by an independent Haar V keeps U_2..U_N Haar and
+    makes V C V* Haar, so the traces have the law they have with U_1 Haar.
+    """
+    m = cfg.matrix_size
+    return [_cue_unitary(m, rng)] + [haar_unitary(m, rng) for _ in range(cfg.alphabet_size - 1)]
+
+
+def _power_traces(x: np.ndarray, max_power: int) -> np.ndarray:
+    """Tr(X^p) for p = 1..max_power of a Hermitian X.
+
+    Tr X^(a+b) = <X^a, X^b>, so powers up to ceil(max_power / 2) give every trace.
+    Above max_power 8 those products cost more than one eigendecomposition.
+    """
+    if max_power > 8:
+        eig = np.linalg.eigvalsh(x)
+        return np.sum(eig[:, None] ** np.arange(1, max_power + 1), axis=0)
+    half = [x]
+    while len(half) < (max_power + 1) // 2:
+        half.append(half[-1] @ x)
+    out = [np.trace(x).real]
+    out += [np.vdot(half[p // 2 - 1], half[p - p // 2 - 1]).real for p in range(2, max_power + 1)]
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -88,22 +162,19 @@ class TraceSamples:
 def sample_traces(cfg: SimConfig) -> TraceSamples:
     """Run all trials and record Tr(X^p) for p = 1..max_power.
 
-    X is Hermitian by construction, so one eigendecomposition per trial gives
-    every power trace as a sum of eigenvalue powers.
+    Trial t draws its unitaries from child t of the seed: U_1 as a CMV matrix
+    with the Haar spectrum, U_2..U_N as Haar matrices (see ``_trial_unitaries``).
+    The traces follow the law of the all-Haar construction, but for a given seed
+    they differ from those of versions that drew U_1 as a Haar matrix too.  Up to
+    max_power 8 they come from ceil(max_power / 2) - 1 matrix products, above it
+    from one eigendecomposition.
     """
-    m = cfg.matrix_size
-    powers = np.arange(1, cfg.max_power + 1)
     traces = np.zeros((cfg.trials, cfg.max_power))
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
 
     for t in range(cfg.trials):
-        rng = np.random.default_rng(streams[t])
-        x = np.zeros((m, m), dtype=complex)
-        for _ in range(cfg.alphabet_size):
-            u = haar_unitary(m, rng)
-            x += u + u.conj().T
-        eig = np.linalg.eigvalsh(x)
-        traces[t] = np.sum(eig[:, None] ** powers, axis=0)
+        s = sum(_trial_unitaries(cfg, np.random.default_rng(streams[t])))
+        traces[t] = _power_traces(s + s.conj().T, cfg.max_power)
     return TraceSamples(cfg, traces)
 
 

@@ -3,15 +3,23 @@
 Everything here deliberately uses a different algorithm from the code under
 test: reduction by repeated literal rewriting instead of a stack, crossing
 detection straight from the four-point definition, covers from explicit
-interval lists, and the pairing built by scanning the infinitely repeated
-word instead of rotating to a good offset.
+interval lists, the pairing built by scanning the infinitely repeated
+word instead of rotating to a good offset, and Monte Carlo traces from an
+all-Haar construction and eigenvalues.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
 
-from freecycle import HalfPairing, Word, cyclic_reduce, standard_cyclic_reduction, word_to_text
+from freecycle import (
+    HalfPairing,
+    Word,
+    cyclic_reduce,
+    reduction_class_size,
+    standard_cyclic_reduction,
+    word_to_text,
+)
 from freecycle.words import default_profile_horizon
 
 
@@ -216,3 +224,49 @@ def trace_by_matrix_powers(x, p_max: int) -> list[complex]:
         acc = acc @ x
         traces.append(complex(np.trace(acc)))
     return traces
+
+
+def haar_sample_traces(cfg):
+    """Tr(X^p) per trial, p = 1..max_power, with every U_i a dense Haar matrix drawn
+    from the trial's own child stream and the traces summed from eigenvalues."""
+    import numpy as np
+
+    from freecycle import haar_unitary
+
+    m = cfg.matrix_size
+    powers = np.arange(1, cfg.max_power + 1)
+    traces = np.zeros((cfg.trials, cfg.max_power))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    for t in range(cfg.trials):
+        rng = np.random.default_rng(streams[t])
+        x = np.zeros((m, m), dtype=complex)
+        for _ in range(cfg.alphabet_size):
+            u = haar_unitary(m, rng)
+            x += u + u.conj().T
+        eig = np.linalg.eigvalsh(x)
+        traces[t] = np.sum(eig[:, None] ** powers, axis=0)
+    return traces
+
+
+def cyclically_reduced_count(k: int, alphabet_size: int) -> int:
+    """Number of cyclically reduced words of length k >= 1, in closed form."""
+    return (2 * alphabet_size - 1) ** k + 1 + (alphabet_size - 1) * (1 + (-1) ** k)
+
+
+def second_order_limits(k_max: int, alphabet_size: int) -> tuple[list[list[int]], list[int]]:
+    """The m -> infinity limits of Cov(Tr X^i, Tr X^j), i, j = 1..k_max, and of the
+    variances of Tr P_k(X), k = 1..k_max, for X = sum of U_i + U_i* over Haar U_i.
+
+    Second-order freeness (Mingo, Sniady and Speicher 2007) gives
+    Cov(Tr U_v, conj Tr U_w) -> the number of rotations r with v = rot_r(w), for
+    cyclically reduced v and w.  Tr P_k(X) sums Tr U_v over the cyclically reduced
+    words of length k, which rotation permutes, so its variance tends to k |CR_k| and
+    its covariance with P_l, l != k, to 0.  Tr x^i sums s(i, k) times Tr P_k over k,
+    with s the class sizes, plus a constant.
+    """
+    diagonal = [k * cyclically_reduced_count(k, alphabet_size) for k in range(1, k_max + 1)]
+    s = [[reduction_class_size(i, k, alphabet_size) for k in range(1, k_max + 1)]
+         for i in range(1, k_max + 1)]
+    monomial = [[sum(a * b * d for a, b, d in zip(s[i], s[j], diagonal)) for j in range(k_max)]
+                for i in range(k_max)]
+    return monomial, diagonal

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, exact unless marked statistical.
 
 Criteria 1-7 are exact (exhaustive enumeration or big-integer identities);
-criteria 8-9 check limiting statements statistically at fixed seeds chosen up
+criteria 8-10 check limiting statements statistically at fixed seeds chosen up
 front.  Each test prints a one-line verdict (visible with ``pytest -s``).
 """
 
@@ -32,10 +32,11 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import brute_force_half_pairings, naive_good_rotations
+from oracles import brute_force_half_pairings, naive_good_rotations, second_order_limits
 
 MOMENT_SEED = 12345
 DIAGONALIZATION_SEED = 67890
+SECOND_ORDER_SEED = 424242
 
 
 def _all_words(n_gens: int, n: int):
@@ -205,3 +206,25 @@ def test_criterion_9_rmt_diagonalization():
     print("ACCEPTANCE 9 PASS: diagonalizing basis off-diagonal max |z| = "
           f"{max(offdiag):.2f} <= 4; monomial contrast max |z| = "
           f"{max(mono_offdiag):.2f} > 4 (m=200, T=2000, seed={DIAGONALIZATION_SEED})")
+
+
+def test_criterion_10_rmt_second_order_limits():
+    cfg = SimConfig(
+        matrix_size=60, alphabet_size=2, trials=2000, max_power=4, seed=SECOND_ORDER_SEED
+    )
+    report = diagonalization_from_samples(sample_traces(cfg), 4)
+    monomial, diagonal = second_order_limits(4, 2)
+    basis = [[diagonal[i] if i == j else 0 for j in range(4)] for i in range(4)]
+    worst = {}
+    for name, cov, se, limit in (
+        ("basis", report.basis_cov, report.basis_se, basis),
+        ("monomial", report.monomial_cov, report.monomial_se, monomial),
+    ):
+        for i in range(4):
+            for j in range(4):
+                z = (cov[i][j] - limit[i][j]) / se[i][j]
+                assert abs(z) <= 4, f"{name}[{i + 1}][{j + 1}] = {cov[i][j]:.2f} vs {limit[i][j]}"
+                worst[name] = max(worst.get(name, 0.0), abs(z))
+    print("ACCEPTANCE 10 PASS: every covariance entry within 4 SE of its second-order limit, "
+          f"max |z| basis {worst['basis']:.2f}, monomial {worst['monomial']:.2f} "
+          f"(m=60, N=2, T=2000, seed={SECOND_ORDER_SEED})")

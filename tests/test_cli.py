@@ -184,6 +184,19 @@ def test_rmt_seed_echoed_when_drawn(capsys):
     assert isinstance(json.loads(out)["seed"], int)
 
 
+@pytest.mark.parametrize(
+    "option, value",
+    [("--k-max", "-3"), ("--k-max", "3"), ("--z-threshold", "nan"), ("--z-threshold", "-1"),
+     ("--z-threshold", "inf")],
+)
+def test_rmt_rejects_malformed_settings(capsys, option, value):
+    code, out, err = run(
+        capsys, "rmt", "--gens", "1", "--size", "4", "--trials", "3", "--max-power", "2",
+        "--seed", "1", option, value,
+    )
+    assert (code, out) == (2, "") and err.startswith("error: need")
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "reduce", "c", "--gens", "2")
     assert code == 2 and "generator 3 exceeds" in err

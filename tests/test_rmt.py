@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from freecycle import (
     IntPolynomial,
     SimConfig,
+    cyclically_reduced_words,
     diagonalization_from_samples,
     estimate_moment,
     fluctuation_covariance,
@@ -15,7 +17,19 @@ from freecycle import (
     sample_traces,
 )
 
-from oracles import trace_by_matrix_powers
+from freecycle.rmt import _cue_unitary, _trial_unitaries
+
+from oracles import (
+    cyclically_reduced_count,
+    haar_sample_traces,
+    second_order_limits,
+    trace_by_matrix_powers,
+)
+
+LAW_SEED = 1994
+LAW_TRIALS = 10_000
+SAME_LAW_TRIALS = 8_000
+Z_BOUND = 4.0
 
 
 def _config(**overrides) -> SimConfig:
@@ -44,6 +58,42 @@ class TestHaarUnitary:
         assert abs(np.mean(values) - 0.25) <= 3 * se
 
 
+class TestFiniteSizeLaw:
+    """Exact identities of a Haar unitary's spectrum at every m (Diaconis and
+    Shahshahani 1994): E Tr U^j = 0 and E |Tr U^j|^2 = min(j, m) for j >= 1."""
+
+    @pytest.mark.parametrize("sampler", [_cue_unitary, haar_unitary], ids=["cmv", "haar"])
+    @pytest.mark.parametrize("m", [3, 6])
+    def test_power_trace_moments(self, sampler, m):
+        rng = np.random.default_rng([LAW_SEED, m])
+        us = np.array([sampler(m, rng) for _ in range(LAW_TRIALS)])
+        power = us
+        for j in range(1, m + 3):
+            tr = np.trace(power, axis1=1, axis2=2)
+            for name, values, target in (
+                ("Re Tr", tr.real, 0.0),
+                ("Im Tr", tr.imag, 0.0),
+                ("|Tr|^2", np.abs(tr) ** 2, min(j, m)),
+            ):
+                z = (values.mean() - target) / (values.std(ddof=1) / math.sqrt(LAW_TRIALS))
+                assert abs(z) <= Z_BOUND, f"{name} U^{j}: mean {values.mean():.4f}, z = {z:.2f}"
+            power = power @ us
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_cmv_factor_is_unitary_and_sparse(self, m):
+        c = _cue_unitary(m, np.random.default_rng(6))
+        assert np.max(np.abs(c.conj().T @ c - np.eye(m))) <= 1e-12
+        assert np.count_nonzero(c, axis=1).max() <= 4
+
+    def test_second_order_limits_oracle(self):
+        for n_gens in (1, 2, 3):
+            for k in range(1, 7):
+                assert len(cyclically_reduced_words(k, n_gens)) == cyclically_reduced_count(k, n_gens)
+        monomial, diagonal = second_order_limits(4, 2)
+        assert diagonal == [4, 24, 84, 336]
+        assert monomial == [[4, 0, 36, 0], [0, 24, 0, 288], [36, 0, 408, 0], [0, 288, 0, 3792]]
+
+
 class TestSampleTraces:
     def test_config_validation(self):
         for bad in (
@@ -54,6 +104,11 @@ class TestSampleTraces:
         ):
             with pytest.raises(ValueError):
                 _config(**bad)
+
+    @pytest.mark.parametrize("z_threshold", [math.nan, math.inf, 0.0, -1.0])
+    def test_z_threshold_must_be_finite_and_positive(self, z_threshold):
+        with pytest.raises(ValueError):
+            _config(z_threshold=z_threshold)
 
     def test_deterministic(self):
         cfg = _config(trials=8)
@@ -74,19 +129,51 @@ class TestSampleTraces:
         assert eig.max() <= 2 * n_gens + 1e-9
 
     def test_traces_match_matrix_powers(self):
-        cfg = _config(matrix_size=25, trials=3, max_power=5, seed=11)
-        samples = sample_traces(cfg)
-        streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-        for t in range(cfg.trials):
-            rng = np.random.default_rng(streams[t])
-            x = np.zeros((25, 25), dtype=complex)
-            for _ in range(cfg.alphabet_size):
-                u = haar_unitary(25, rng)
-                x += u + u.conj().T
-            direct = trace_by_matrix_powers(x, cfg.max_power)
-            for p in range(1, cfg.max_power + 1):
-                assert abs(direct[p - 1].imag) <= 1e-8 * cfg.matrix_size
-                assert samples.traces[t, p - 1] == pytest.approx(direct[p - 1].real, rel=1e-9, abs=1e-9)
+        # max_power 5 and 8 take the matrix-product traces, 9 and 12 the eigenvalue ones
+        for max_power in (5, 8, 9, 12):
+            cfg = _config(matrix_size=25, trials=3, max_power=max_power, seed=11)
+            samples = sample_traces(cfg)
+            streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+            for t in range(cfg.trials):
+                x = np.zeros((25, 25), dtype=complex)
+                for u in _trial_unitaries(cfg, np.random.default_rng(streams[t])):
+                    x += u + u.conj().T
+                direct = trace_by_matrix_powers(x, cfg.max_power)
+                for p in range(1, cfg.max_power + 1):
+                    assert abs(direct[p - 1].imag) <= 1e-8 * cfg.matrix_size
+                    assert samples.traces[t, p - 1] == pytest.approx(direct[p - 1].real, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("m, n_gens", [(3, 1), (4, 2), (5, 3)])
+    def test_same_law_as_all_haar_sampler(self, m, n_gens):
+        # Two-sample z of the means and of every covariance of Tr X^p, p <= 4,
+        # against the construction that draws every U_i as a dense Haar matrix
+        new = sample_traces(SimConfig(m, n_gens, SAME_LAW_TRIALS, 4, seed=300 + m)).traces
+        old = haar_sample_traces(SimConfig(m, n_gens, SAME_LAW_TRIALS, 4, seed=400 + m))
+
+        def mean_and_var(values):
+            return values.mean(), values.var(ddof=1) / len(values)
+
+        def statistics(traces):
+            centered = traces - traces.mean(axis=0)
+            yield from (mean_and_var(traces[:, p]) for p in range(4))
+            yield from (mean_and_var(centered[:, p] * centered[:, q])
+                        for p in range(4) for q in range(p, 4))
+
+        for (a, var_a), (b, var_b) in zip(statistics(new), statistics(old)):
+            assert abs(a - b) <= Z_BOUND * math.sqrt(var_a + var_b), (a, b)
+
+    def test_trace_identity_of_the_diagonalizing_polynomials(self):
+        # Tr P_n(X) = sum of Tr U_v over the cyclically reduced v of length n, at every m
+        cfg = SimConfig(matrix_size=12, alphabet_size=2, trials=2, max_power=6, seed=5)
+        us = _trial_unitaries(cfg, np.random.default_rng(cfg.seed))
+        letters = {g: u for g, u in enumerate(us, 1)} | {-g: u.conj().T for g, u in enumerate(us, 1)}
+        x = sum(u + u.conj().T for u in us)
+        for n in range(1, 7):
+            coeffs = fluctuation_poly(n, 2).coeffs
+            lhs = sum(c * np.trace(np.linalg.matrix_power(x, j)) for j, c in enumerate(coeffs))
+            words = cyclically_reduced_words(n, 2)
+            rhs = sum(np.trace(reduce(np.matmul, [letters[l] for l in w.letters])) for w in words)
+            assert abs(lhs - rhs) <= 1e-12 * len(words) * cfg.matrix_size, (n, lhs, rhs)
 
     def test_power_bounds_checked(self):
         samples = sample_traces(_config(trials=4))
