@@ -10,8 +10,7 @@ the off-diagonal covariances while plain monomials do not.
 The traces depend on (U_1, ..., U_N) only up to simultaneous conjugation, so
 U_1 is drawn as a sparse CMV matrix whose spectrum has the law of a Haar
 unitary's (one O(m) draw and no QR), and only U_2..U_N as dense Haar matrices.
-The power traces come from matrix products, or from one eigendecomposition
-when max_power is above 8.
+The power traces come from matrix products.
 
 Every trial draws from its own child stream of the master seed, so its draws
 depend only on the seed and its index.  Results are reproducible bit for
@@ -122,11 +121,7 @@ def _power_traces(x: np.ndarray, max_power: int) -> np.ndarray:
     """Tr(X^p) for p = 1..max_power of a Hermitian X.
 
     Tr X^(a+b) = <X^a, X^b>, so powers up to ceil(max_power / 2) give every trace.
-    Above max_power 8 those products cost more than one eigendecomposition.
     """
-    if max_power > 8:
-        eig = np.linalg.eigvalsh(x)
-        return np.sum(eig[:, None] ** np.arange(1, max_power + 1), axis=0)
     half = [x]
     while len(half) < (max_power + 1) // 2:
         half.append(half[-1] @ x)
@@ -165,9 +160,8 @@ def sample_traces(cfg: SimConfig) -> TraceSamples:
     Trial t draws its unitaries from child t of the seed: U_1 as a CMV matrix
     with the Haar spectrum, U_2..U_N as Haar matrices (see ``_trial_unitaries``).
     The traces follow the law of the all-Haar construction, but for a given seed
-    they differ from those of versions that drew U_1 as a Haar matrix too.  Up to
-    max_power 8 they come from ceil(max_power / 2) - 1 matrix products, above it
-    from one eigendecomposition.
+    they differ from those of versions that drew U_1 as a Haar matrix too.  They
+    come from ceil(max_power / 2) - 1 matrix products.
     """
     traces = np.zeros((cfg.trials, cfg.max_power))
     streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)

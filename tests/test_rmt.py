@@ -129,7 +129,7 @@ class TestSampleTraces:
         assert eig.max() <= 2 * n_gens + 1e-9
 
     def test_traces_match_matrix_powers(self):
-        # max_power 5 and 8 take the matrix-product traces, 9 and 12 the eigenvalue ones
+        # odd and even max_power, from 3 to 6 powers of X
         for max_power in (5, 8, 9, 12):
             cfg = _config(matrix_size=25, trials=3, max_power=max_power, seed=11)
             samples = sample_traces(cfg)
