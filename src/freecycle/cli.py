@@ -5,8 +5,9 @@ always ``--gens``.  ``--len`` is a word length, never an alphabet size.  The
 empty word prints as ``1`` in text output; JSON output uses the empty string.
 Each ``cmd_*`` handler returns its JSON payload, its text and its exit code;
 ``main`` alone prints, once, whichever form ``--json`` selects.
-Exit codes: 0 success, 1 verification failure, 2 usage error, and 141 (as for
-a command that SIGPIPE ends) when the reader closes stdout early, as ``| head`` does.
+Exit codes: 0 success, 1 verification failure, 2 usage error or an output file
+that cannot be written, and 141 (as for a command that SIGPIPE ends) when the
+reader closes stdout early, as ``| head`` does.
 """
 
 from __future__ import annotations
@@ -300,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
         # Python's recipe: the flush at exit then writes to devnull, not the closed pipe.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
+    except OSError as exc:  # after BrokenPipeError, which is one
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

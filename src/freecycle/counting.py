@@ -17,7 +17,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import count, permutations, product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -124,31 +124,16 @@ class Census:
 _Tally = dict[tuple[tuple[int, ...], int], int]
 
 
-def _canonical_counts(n: int, alphabet_size: int) -> list[list[int]]:
-    """size[r][j] counts the ways to end a canonical word in r letters after j generators.
+def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
+    """Tally (standard reduction, generators used) over share ``slab`` of ``jobs``.
 
-    A canonical word uses its generators in the order 1, 2, ... of first use,
-    each first use positive: after j generators come 2j letters to reuse and,
-    while j < N, generator j + 1.  size[n][0] counts the canonical words.
+    Canonical words use their generators in the order 1, 2, ... of first use,
+    each first use positive: after j generators come 1..j, -1..-j and, while
+    j < N, j + 1.  The walk numbers the subtrees it meets at depth n // 2 and
+    enters those whose number is ``slab`` mod ``jobs``.  The reduction stack
+    and partners are carried down the tree and undone on the way up; a leaf
+    reads its good rotations off them.
     """
-    top = min(n, alphabet_size)
-    size = [[1] * (top + 2)]  # column top + 1 is never reached
-    for _ in range(n):
-        prev = size[-1]
-        size.append([2 * j * prev[j] + (j < alphabet_size) * prev[j + 1] for j in range(top + 1)])
-        size[-1].append(0)
-    return size
-
-
-def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> _Tally:
-    """Tally (standard reduction, generators used) over canonical words [start, stop).
-
-    Canonical words are indexed depth first, trying 1..j, -1..-j and then j + 1
-    after j generators, so a range is a contiguous slab of subtrees.  The
-    reduction stack and partners are carried down the tree and undone on the
-    way up; a leaf reads its good rotations off them.
-    """
-    size = _canonical_counts(n, alphabet_size)
     moves = [
         [(l, j) for l in (*range(1, j + 1), *range(-1, -j - 1, -1))]
         + [(j + 1, j + 1)] * (j < alphabet_size)
@@ -158,31 +143,31 @@ def _census_range(n: int, alphabet_size: int, start: int, stop: int) -> _Tally:
     partner = [-1] * n
     stack: list[int] = []
     tally: _Tally = {}
+    split = n // 2
+    subtrees = count()
 
-    def walk(i: int, j: int, first: int) -> None:
-        # letters[:i] uses j generators; the words below it are numbered from first on
+    def walk(i: int, j: int) -> None:
+        # letters[:i] uses j generators
+        # every share repeats the walk above depth n // 2, about the square root of the work
+        if i == split and next(subtrees) % jobs != slab:
+            return
         if i == n:
             key = (tuple(map(letters.__getitem__, _good_rotations(letters, stack, partner))), j)
             tally[key] = tally.get(key, 0) + 1
             return
-        below = size[n - i - 1]
         for l, used in moves[j]:
-            last = first + below[used]
-            if first < stop and start < last:
-                letters[i] = l
-                if stack and letters[stack[-1]] == -l:
-                    partner[i] = stack.pop()
-                    walk(i + 1, used, first)
-                    stack.append(partner[i])
-                    partner[i] = -1
-                else:
-                    stack.append(i)
-                    walk(i + 1, used, first)
-                    stack.pop()
-            first = last
+            letters[i] = l
+            if stack and letters[stack[-1]] == -l:
+                partner[i] = stack.pop()
+                walk(i + 1, used)
+                stack.append(partner[i])
+                partner[i] = -1
+            else:
+                stack.append(i)
+                walk(i + 1, used)
+                stack.pop()
 
-    if start < stop:  # for n = 0 the root is the one leaf, and no move checks the range
-        walk(0, 0, 0)
+    walk(0, 0)
     return tally
 
 
@@ -251,8 +236,8 @@ def census(
     canonical word per orbit is reduced, and since a relabeling preserves
     every cancellation test, its reduction's relabelings take the orbit's
     2^j N!/(N-j)! words.  Refuses to run (rather than approximating) when the
-    (2N)^n words would exceed ``budget`` word-steps.  ``jobs`` splits the
-    canonical words into contiguous slabs across processes, at most one per
+    (2N)^n words would exceed ``budget`` word-steps.  ``jobs`` deals the
+    subtrees of the canonical word tree out to processes, at most one per
     core; results do not depend on the split.  Results are not cached, so
     ``cache`` has no effect.
     """
@@ -261,23 +246,21 @@ def census(
     if jobs < 1:
         raise ValueError(f"need jobs >= 1, got {jobs}")
     _census_words(n, alphabet_size, budget)
-    total = _canonical_counts(n, alphabet_size)[n][0]
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs == 1:
-        slabs = [_census_range(n, alphabet_size, 0, total)]
+        shares = [_census_range(n, alphabet_size, 0, 1)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = [total * i // jobs for i in range(jobs + 1)]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            slabs = list(
+            shares = list(
                 pool.map(
-                    _census_range, [n] * jobs, [alphabet_size] * jobs, bounds[:-1], bounds[1:]
+                    _census_range, [n] * jobs, [alphabet_size] * jobs, range(jobs), [jobs] * jobs
                 )
             )
     tally: Counter[tuple[tuple[int, ...], int]] = Counter()
-    for slab in slabs:
-        tally.update(slab)  # adds counts
+    for share in shares:
+        tally.update(share)  # adds counts
     return Census(alphabet_size, n, MappingProxyType(_expand(tally, alphabet_size)))
 
 

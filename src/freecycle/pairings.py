@@ -18,6 +18,7 @@ Indices are 1-based throughout.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, combinations
@@ -27,6 +28,7 @@ from .words import Word, _good_rotations, _is_good, _reduce_with_partners, is_cy
 
 OUT = "out"
 IN = "in"
+MAX_HALF_PAIRINGS = 10**5  # C(18, 8) = 43,758 pairings took 2.0 s and about 70 MB
 
 
 @dataclass(frozen=True)
@@ -259,12 +261,15 @@ def enumerate_half_pairings(n: int, k: int) -> list[HalfPairing]:
     """All half-pairings on n points with exactly k through strings.
 
     Generated from dot diagrams, one per choice of (n-k)/2 black positions,
-    so the count is C(n, (n-k)/2).
+    so the count is C(n, (n-k)/2).  Counts above ``MAX_HALF_PAIRINGS`` are refused.
     """
     if k < 1 or k > n:
         raise ValueError("need 1 <= k <= n")
     if (n - k) % 2:
         raise ValueError(f"no half-pairing on {n} points with {k} through strings: parity")
+    size = math.comb(n, (n - k) // 2)
+    if size > MAX_HALF_PAIRINGS:
+        raise ValueError(f"{size} half-pairings exceed the limit of {MAX_HALF_PAIRINGS}")
     result = []
     for blacks in combinations(range(1, n + 1), (n - k) // 2):
         black_set = set(blacks)

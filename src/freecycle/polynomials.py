@@ -138,6 +138,8 @@ def modified_chebyshev(k: int, alphabet_size: int, r1: R1Choice = "x") -> IntPol
     """
     if k < 0:
         raise ValueError("need k >= 0")
+    if alphabet_size < 1:
+        raise ValueError("need alphabet_size >= 1")
     if r1 not in ("x", "one"):
         raise ValueError("r1 must be 'x' or 'one'")
     prev = IntPolynomial(2)
@@ -170,6 +172,8 @@ def fluctuation_poly(n: int, alphabet_size: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    if alphabet_size < 1:
+        raise ValueError("need alphabet_size >= 1")
     parity = n % 2
     moments = _kesten_moments(n, alphabet_size)
     # Only basis polynomials of the parity of n enter, and each has only terms of

@@ -35,6 +35,28 @@ def naive_linear_reduce(letters: tuple[int, ...]) -> tuple[int, ...]:
             return tuple(out)
 
 
+def naive_standard_decomposition(letters: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """(prefix, core, suffix) in the documented strip order, testing by rewriting:
+    a cancelling end pair first, then the longest prefix that reduces to 1, then
+    the longest such suffix, until none is left to strip."""
+    lo, hi = 0, len(letters)
+    while lo < hi:
+        core = letters[lo:hi]
+        if len(core) >= 2 and core[0] == -core[-1]:
+            lo, hi = lo + 1, hi - 1
+            continue
+        ends = range(len(core), 0, -1)
+        prefix = next((i for i in ends if not naive_linear_reduce(core[:i])), 0)
+        if prefix:
+            lo += prefix
+            continue
+        suffix = next((i for i in ends if not naive_linear_reduce(core[-i:])), 0)
+        if not suffix:
+            break
+        hi -= suffix
+    return letters[:lo], letters[lo:hi], letters[hi:]
+
+
 def naive_profile(w: Word, horizon: int) -> tuple[int, ...]:
     """Reduction lengths of the first 1..horizon letters of w w w ..., each
     prefix reduced from scratch by rewriting."""

@@ -152,6 +152,13 @@ def test_poly(capsys):
     assert json.loads(out)["coefficients"] == [-4, 0, 1]
 
 
+@pytest.mark.parametrize("basis", ["triangle", "recurrence"])
+def test_poly_alphabet_below_one_rejected(capsys, basis):
+    for gens in ("-3", "0"):
+        code, out, err = run(capsys, "poly", "--len", "4", "--gens", gens, "--basis", basis)
+        assert (code, out, err) == (2, "", "error: need alphabet_size >= 1\n")
+
+
 def test_verify_poly(capsys):
     code, out, _ = run(capsys, "verify-poly", "--len", "2", "--gens", "1")
     lines = out.splitlines()
@@ -173,6 +180,18 @@ def test_rmt_small_run(capsys, tmp_path):
     assert rows[0] == ["table", "i", "j", "value", "se", "z"]
     assert sum(1 for r in rows if r[0] == "moment") == 3
     assert sum(1 for r in rows if r[0] == "basis") == 4
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["census", "--len", "2", "--gens", "1"],
+     ["rmt", "--gens", "1", "--size", "4", "--trials", "3", "--max-power", "2", "--seed", "1"]],
+)
+def test_unwritable_csv_is_a_usage_error(capsys, tmp_path, command):
+    for path in (tmp_path / "missing" / "x.csv", tmp_path):
+        code, out, err = run(capsys, *command, "--csv", str(path))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+        assert "Traceback" not in err
 
 
 def test_rmt_seed_echoed_when_drawn(capsys):

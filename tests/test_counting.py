@@ -1,6 +1,7 @@
 import concurrent.futures
 import math
 import os
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -136,8 +137,8 @@ class TestCensus:
 
         monkeypatch.setattr(counting, "_census_range", counted)
         first, second = census(3, 2), census(3, 2)
-        # the 64 words of length 3 over N = 2 have 10 canonical representatives
-        assert calls == [(3, 2, 0, 10)] * 2
+        # a serial census walks share 0 of 1, the whole canonical tree
+        assert calls == [(3, 2, 0, 1)] * 2
         assert dict(first.counts) == dict(second.counts)
 
     def test_parallel_matches_serial(self):
@@ -187,18 +188,35 @@ class TestCensus:
         assert dict(census(5, 2, jobs=2).counts) == naive_census(5, 2)
 
     def test_slab_split_inside_the_canonical_tree(self):
-        # census(6, 3) has 1,248 canonical words; two slabs meet at 624, inside the
-        # subtree of the prefix "abb"
+        # census(6, 3) is shared out by the subtrees at depth 3 of the canonical tree
         assert dict(census(6, 3, jobs=2).counts) == dict(census(6, 3).counts)
-        whole = counting._census_range(6, 3, 0, 1248)
-        for cut in (1, 236, 624, 1247):
-            merged = counting._census_range(6, 3, 0, cut)
-            for key, count in counting._census_range(6, 3, cut, 1248).items():
-                merged[key] = merged.get(key, 0) + count
+        whole = counting._census_range(6, 3, 0, 1)
+        for jobs in (2, 3, 7):
+            merged: Counter = Counter()
+            for slab in range(jobs):
+                merged.update(counting._census_range(6, 3, slab, jobs))
             assert merged == whole
-        # with more slabs than canonical words some slabs are empty
-        assert counting._census_range(0, 3, 0, 0) == counting._census_range(2, 3, 5, 5) == {}
+        # with more shares than subtrees at the split depth some shares are empty
+        assert counting._census_range(0, 3, 1, 2) == counting._census_range(2, 3, 1, 5) == {}
         assert dict(census(0, 3, jobs=2).counts) == {"": 1}
+
+    def test_shares_sum_to_the_whole(self):
+        for n, n_gens in ((0, 3), (1, 2), (5, 2), (6, 3), (8, 2), (12, 1)):
+            serial = dict(census(n, n_gens).counts)
+            for jobs in range(1, 5):
+                assert dict(census(n, n_gens, jobs=jobs).counts) == serial
+            whole = counting._census_range(n, n_gens, 0, 1)
+            for jobs in range(1, 6):
+                merged: Counter = Counter()
+                for slab in range(jobs):
+                    merged.update(counting._census_range(n, n_gens, slab, jobs))
+                assert merged == whole
+
+    def test_two_shares_are_balanced(self):
+        # the larger of two shares holds at most 55% of the canonical words
+        for n, n_gens in ((10, 2), (18, 1), (9, 3)):
+            sizes = [sum(counting._census_range(n, n_gens, slab, 2).values()) for slab in (0, 1)]
+            assert max(sizes) <= 0.55 * sum(sizes)
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):

@@ -30,6 +30,7 @@ from freecycle import (
     to_dots,
     word_to_text,
 )
+from freecycle import pairings
 
 from oracles import (
     brute_force_half_pairings,
@@ -347,6 +348,16 @@ class TestEnumeration:
             enumerate_half_pairings(4, 3)
         with pytest.raises(ValueError):
             enumerate_half_pairings(4, 5)
+
+    def test_refuses_oversized_count(self, monkeypatch):
+        def refuse(d):
+            raise AssertionError("a pairing was built before the size check")
+
+        monkeypatch.setattr(pairings, "from_dots", refuse)
+        # C(40, 19) is about 1.3 * 10**11 and C(20, 9) = 167,960
+        for n, k in ((40, 2), (20, 2)):
+            with pytest.raises(ValueError, match="exceed the limit"):
+                enumerate_half_pairings(n, k)
 
     def test_matches_brute_force(self):
         for n in range(1, 9):

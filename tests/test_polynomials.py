@@ -93,6 +93,16 @@ class TestFluctuationPoly:
         with pytest.raises(ValueError):
             fluctuation_poly_recurrence(0, 2)
 
+    @pytest.mark.parametrize("n_gens", [0, -3])
+    def test_alphabet_below_one_rejected(self, n_gens):
+        for n in (1, 2, 4):
+            with pytest.raises(ValueError, match="need alphabet_size >= 1"):
+                fluctuation_poly(n, n_gens)
+            with pytest.raises(ValueError, match="need alphabet_size >= 1"):
+                fluctuation_poly_recurrence(n, n_gens)
+        with pytest.raises(ValueError, match="need alphabet_size >= 1"):
+            modified_chebyshev(0, n_gens)
+
     def test_recurrence_equals_triangle_for_odd_n(self):
         for n_gens in (1, 2, 3):
             for n in range(1, 40, 2):

@@ -25,7 +25,13 @@ from freecycle import (
 from freecycle import pairings, words
 from freecycle.words import MAX_PROFILE_HORIZON, _reduce_with_partners, periodicity_bound
 
-from oracles import is_dominating, naive_good_rotations, naive_linear_reduce, naive_profile
+from oracles import (
+    is_dominating,
+    naive_good_rotations,
+    naive_linear_reduce,
+    naive_profile,
+    naive_standard_decomposition,
+)
 from strategies import free_words, nonvanishing_words
 
 
@@ -374,6 +380,19 @@ class TestStandardDecomposition:
             for i in range(1, len(core) + 1):
                 assert naive_linear_reduce(core[:i]) != ()
                 assert naive_linear_reduce(core[-i:]) != ()
+
+    def test_matches_strip_order_oracle_exhaustive(self):
+        for max_len, max_gens in ((8, 2), (6, 3)):
+            for w in all_words(max_len, max_gens):
+                d = standard_decomposition(w)
+                got = (d.prefix.letters, d.core.letters, d.suffix.letters)
+                assert got == naive_standard_decomposition(w.letters), w
+
+    def test_nested_prefix_family(self):
+        # (abB)^m b A^m: each end pair a...A is stripped, then the bB it exposes
+        for m in range(31):
+            d = standard_decomposition(parse_word("abB" * m + "b" + "A" * m, 2))
+            assert (str(d.prefix), str(d.core), str(d.suffix)) == ("abB" * m, "b", "A" * m)
 
     @given(free_words())
     def test_invariants(self, w):
