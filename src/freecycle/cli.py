@@ -13,6 +13,7 @@ reader closes stdout early, as ``| head`` does.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -38,9 +39,7 @@ def _word_of(args) -> words.Word:
 
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(fh).writerows([header, *rows])
 
 
 def cmd_reduce(args) -> Output:
@@ -167,23 +166,25 @@ def cmd_rmt(args) -> Output:
     k_max = args.k_max if args.k_max is not None else min(4, cfg.max_power)
     if not 0 <= k_max <= cfg.max_power:
         raise ValueError("need 0 <= --k-max <= --max-power (0 disables the diagonalization check)")
-    samples = rmt.sample_traces(cfg)
-    moments = []
-    for p in range(1, cfg.max_power + 1):
-        est, se = rmt.estimate_moment(samples, p)
-        ref = counting.kesten_moment(p, cfg.alphabet_size)
-        z = (est - ref) / se if se > 0 else 0.0
-        moments.append({"p": p, "estimate": est, "se": se, "kesten": ref, "z": z})
-    report = rmt.diagonalization_from_samples(samples, k_max) if k_max > 0 else None
-    tables = [] if report is None else [
-        ("basis", report.basis_cov, report.basis_se, report.basis_z),
-        ("monomial", report.monomial_cov, report.monomial_se, report.monomial_z),
-    ]
-    if args.csv:
-        rows = [["moment", m["p"], "", m["estimate"], m["se"], m["z"]] for m in moments]
-        rows += [[name, i + 1, j + 1, cov[i][j], se_[i][j], z_[i][j]]
-                 for name, cov, se_, z_ in tables for i in range(k_max) for j in range(k_max)]
-        _write_csv(args.csv, ["table", "i", "j", "value", "se", "z"], rows)
+    # An unwritable --csv fails here, before any trial is sampled.
+    with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_file:
+        samples = rmt.sample_traces(cfg)
+        moments = []
+        for p in range(1, cfg.max_power + 1):
+            est, se = rmt.estimate_moment(samples, p)
+            ref = counting.kesten_moment(p, cfg.alphabet_size)
+            z = (est - ref) / se if se > 0 else 0.0
+            moments.append({"p": p, "estimate": est, "se": se, "kesten": ref, "z": z})
+        report = rmt.diagonalization_from_samples(samples, k_max) if k_max > 0 else None
+        tables = [] if report is None else [
+            ("basis", report.basis_cov, report.basis_se, report.basis_z),
+            ("monomial", report.monomial_cov, report.monomial_se, report.monomial_z),
+        ]
+        if csv_file:
+            rows = [["moment", m["p"], "", m["estimate"], m["se"], m["z"]] for m in moments]
+            rows += [[name, i + 1, j + 1, cov[i][j], se_[i][j], z_[i][j]]
+                     for name, cov, se_, z_ in tables for i in range(k_max) for j in range(k_max)]
+            csv.writer(csv_file).writerows([["table", "i", "j", "value", "se", "z"], *rows])
 
     config = {"matrix_size": cfg.matrix_size, "alphabet_size": cfg.alphabet_size,
               "trials": cfg.trials, "max_power": cfg.max_power, "z_threshold": cfg.z_threshold}

@@ -3,10 +3,10 @@
 For k >= 1, the number of length-n words whose standard cyclic reduction is a
 given reduced word of length k depends only on n, k and the alphabet size:
 (2N-1)^((n-k)/2) * C(n, (n-k)/2).  The k = 0 class (words reducible to the
-identity) follows no such formula; its sizes are the moments of the Kesten
-measure and come from a walk on reduced lengths.  The census, which the
-formula and the moments are verified against, is an exact tally over every
-word of a given length, one word per orbit of signed generator relabelings:
+identity) follows no such product; its sizes are the moments of the Kesten
+measure, a sum of ballot numbers over closed walks on the tree.  The census,
+which the formula and the moments are verified against, is an exact tally over
+every word of a given length, one word per orbit of signed generator relabelings:
 a relabeling keeps every test of whether two letters cancel, so it carries
 the standard reduction of a word to that of its image.
 """
@@ -47,37 +47,28 @@ def kesten_moment(n: int, alphabet_size: int) -> int:
     """Number of length-n words over 2N letters that reduce to the identity.
 
     These are the moments of the spectral measure of the sum of all generators
-    and their inverses.
+    and their inverses.  Such a word is a closed walk on the 2N-regular tree,
+    and its distance from the root is a Dyck path.  Of those with n = 2h steps,
+    r C(2h-r, h) / (2h-r) return to the root r times (a ballot number, so the
+    division is exact).  Each of the r steps up from the root has 2N letters,
+    each other step up 2N-1, and each step down 1.
+
+    >>> [kesten_moment(n, 2) for n in range(0, 9, 2)]
+    [1, 4, 28, 232, 2092]
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if alphabet_size < 1:
         raise ValueError("need alphabet_size >= 1")
-    return _kesten_moments(n, alphabet_size)[n]
-
-
-def _kesten_moments(n: int, alphabet_size: int) -> list[int]:
-    """kesten_moment(i) for i = 0..n, from one walk on the reduced length of the prefix.
-
-    From length 0 all 2N letters ascend, from positive length 2N-1 ascend and
-    one descends.  After i letters only the lengths up to min(i, n - i) are
-    kept, since a longer prefix cannot return to 0 within n letters, and only
-    those of the parity of i can be reached.
-    """
-    counts = [1]
-    moments = [1]
-    for i in range(1, n + 1):
-        top = min(i, n - i)
-        nxt = [0] * (top + 1)
-        for length in range(1 - i % 2, len(counts), 2):
-            ways = counts[length]
-            if length < top:
-                nxt[length + 1] += ways * (2 * alphabet_size - (length > 0))
-            if length > 0:
-                nxt[length - 1] += ways
-        counts = nxt
-        moments.append(counts[0])
-    return moments
+    if n % 2:
+        return 0
+    if n == 0:
+        return 1
+    h, q = n // 2, 2 * alphabet_size - 1
+    return sum(
+        r * math.comb(2 * h - r, h) // (2 * h - r) * (q + 1) ** r * q ** (h - r)
+        for r in range(1, h + 1)
+    )
 
 
 def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping
 
@@ -53,24 +52,6 @@ class HalfPairing:
     @property
     def through_count(self) -> int:
         return len(self.singletons)
-
-    @cached_property
-    def _covers(self) -> frozenset[tuple[int, int]]:
-        # Walk clockwise from each out point i: each out point t met is covered, and the
-        # walk jumps past t's chord; it stops at an in endpoint, after a singleton, or
-        # back at i.  A point is covered by at most one i, so this is O(n).
-        outs = _out_points(self)
-        partner = dict(self.pairs) | {b: a for a, b in self.pairs}
-        n = self.n
-        covers = []
-        for i in outs:
-            t = i % n + 1
-            while t != i and t in outs:
-                covers.append((i, t))
-                if t not in partner:
-                    break
-                t = partner[t] % n + 1
-        return frozenset(covers)
 
 
 def _invalid_reason(
@@ -139,10 +120,22 @@ def cover_relation(p: HalfPairing) -> frozenset[tuple[int, int]]:
     """All ordered pairs (i, j) of out-points where i covers j.
 
     i covers j when j immediately follows i clockwise, or everything strictly
-    between them (clockwise) is paired within that stretch.  Computed once
-    per pairing.
+    between them (clockwise) is paired within that stretch.
     """
-    return p._covers
+    # Walk clockwise from each out point i: each out point t met is covered, and the
+    # walk jumps past t's chord; it stops at an in endpoint, after a singleton, or
+    # back at i.  A point is covered by at most one i, so this is O(n).
+    outs = _out_points(p)
+    partner = dict(p.pairs) | {b: a for a, b in p.pairs}
+    covers = []
+    for i in outs:
+        t = i % p.n + 1
+        while t != i and t in outs:
+            covers.append((i, t))
+            if t not in partner:
+                break
+            t = partner[t] % p.n + 1
+    return frozenset(covers)
 
 
 def is_word_pairing(w: Word, p: HalfPairing) -> bool:
@@ -295,8 +288,15 @@ def half_pairing_to_json(p: HalfPairing) -> dict:
 
 
 def half_pairing_from_json(data: Mapping) -> HalfPairing:
+    """The pairing ``half_pairing_to_json`` wrote; ``n``, endpoints and singletons must be ints."""
+
+    def point(v) -> int:
+        if type(v) is not int:  # not isinstance(): JSON true/false load as bool
+            raise ValueError(f"pairing points must be integers, got {v!r}")
+        return v
+
     return HalfPairing(
-        int(data["n"]),
-        frozenset((int(a), int(b)) for a, b in data["pairs"]),
-        frozenset(int(s) for s in data["singletons"]),
+        point(data["n"]),
+        frozenset((point(a), point(b)) for a, b in data["pairs"]),
+        frozenset(map(point, data["singletons"])),
     )

@@ -19,10 +19,10 @@ from .counting import (
     DEFAULT_BUDGET,
     Census,
     _census_words,
-    _kesten_moments,
     _violations,
     census,
     cyclically_reduced_words,
+    kesten_moment,
     reduction_class_size,
 )
 from .words import word_to_text
@@ -168,29 +168,25 @@ def fluctuation_poly(n: int, alphabet_size: int) -> IntPolynomial:
     and "reduced expansion" applies the standard cyclic reduction to every
     word in the expansion of p(x), x being the sum of all generators and
     inverses.  Powers of x expand unitriangularly over the Q basis with the
-    known class sizes, so back-substitution determines the polynomial.
+    known class sizes, so p is one row of the inverse of that triangle.
+
+    >>> print(fluctuation_poly(4, 2))
+    x^4 - 12x^2 + 20
     """
     if n < 1:
         raise ValueError("need n >= 1")
     if alphabet_size < 1:
         raise ValueError("need alphabet_size >= 1")
-    parity = n % 2
-    moments = _kesten_moments(n, alphabet_size)
-    # Only basis polynomials of the parity of n enter, and each has only terms of
-    # its own parity: basis[s] lists the coefficients of degree parity, parity + 2,
-    # ..., parity + 2s of the one of degree parity + 2s.
-    basis: list[list[int]] = []
-    for j in range(parity, n + 1, 2):
-        p = [0] * len(basis) + [1]
-        for k in range(j - 2, 0, -2):
-            size = reduction_class_size(j, k, alphabet_size)
-            lower = basis[k // 2]
-            p[: len(lower)] = [a - size * b for a, b in zip(p, lower)]
-        if j and not parity:
-            p[0] -= moments[j]
-        basis.append(p)
-    coeffs = [0] * (n + 1)
-    coeffs[parity::2] = basis[-1]
+    # The Q_k term of the reduced expansion of sum c_j x^j is sum_{j >= k} c_j s(j, k) with
+    # s(k, k) = 1; it is 1 for k = n and 0 below, which fixes each c_k from those above it.
+    # For even n the identity term, sum c_j M_j over the Kesten moments M_j, vanishes too.
+    coeffs = [0] * n + [1]
+    for k in range(n - 2, 0, -2):
+        coeffs[k] = -sum(
+            coeffs[j] * reduction_class_size(j, k, alphabet_size) for j in range(k + 2, n + 1, 2)
+        )
+    if n % 2 == 0:
+        coeffs[0] = -sum(coeffs[j] * kesten_moment(j, alphabet_size) for j in range(2, n + 1, 2))
     return IntPolynomial(*coeffs)
 
 

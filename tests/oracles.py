@@ -4,8 +4,9 @@ Everything here deliberately uses a different algorithm from the code under
 test: reduction by repeated literal rewriting instead of a stack, crossing
 detection straight from the four-point definition, covers from explicit
 interval lists, the pairing built by scanning the infinitely repeated
-word instead of rotating to a good offset, and Monte Carlo traces from an
-all-Haar construction and eigenvalues.
+word instead of rotating to a good offset, Kesten moments from a walk on
+reduced lengths instead of a sum of ballot numbers, and Monte Carlo traces
+from an all-Haar construction and eigenvalues.
 """
 
 from __future__ import annotations
@@ -273,6 +274,30 @@ def haar_sample_traces(cfg):
 def cyclically_reduced_count(k: int, alphabet_size: int) -> int:
     """Number of cyclically reduced words of length k >= 1, in closed form."""
     return (2 * alphabet_size - 1) ** k + 1 + (alphabet_size - 1) * (1 + (-1) ** k)
+
+
+def walk_kesten_moments(n: int, alphabet_size: int) -> list[int]:
+    """kesten_moment(i) for i = 0..n, from one walk on the reduced length of the prefix.
+
+    From length 0 all 2N letters ascend, from positive length 2N-1 ascend and
+    one descends.  After i letters only the lengths up to min(i, n - i) are
+    kept, since a longer prefix cannot return to 0 within n letters, and only
+    those of the parity of i can be reached.
+    """
+    counts = [1]
+    moments = [1]
+    for i in range(1, n + 1):
+        top = min(i, n - i)
+        nxt = [0] * (top + 1)
+        for length in range(1 - i % 2, len(counts), 2):
+            ways = counts[length]
+            if length < top:
+                nxt[length + 1] += ways * (2 * alphabet_size - (length > 0))
+            if length > 0:
+                nxt[length - 1] += ways
+        counts = nxt
+        moments.append(counts[0])
+    return moments
 
 
 def second_order_limits(k_max: int, alphabet_size: int) -> tuple[list[list[int]], list[int]]:

@@ -123,7 +123,7 @@ def test_criterion_5_power_expansion():
             if n % 2 == 0:
                 assert census(n, n_gens).counts[""] == kesten_moment(n, n_gens)
     print("ACCEPTANCE 5 PASS: power expansion verified for n<=8, N<=2 "
-          "(totals (2N)^n, identity class = Kesten moment, DP vs census exact)")
+          "(totals (2N)^n, identity class = Kesten moment, closed form vs census exact)")
 
 
 def test_criterion_6_shift_translation():

@@ -194,6 +194,20 @@ def test_unwritable_csv_is_a_usage_error(capsys, tmp_path, command):
         assert "Traceback" not in err
 
 
+def test_rmt_unwritable_csv_fails_before_sampling(capsys, monkeypatch, tmp_path):
+    import freecycle.rmt
+
+    def refuse(cfg):
+        raise AssertionError("sampled before the --csv file was opened")
+
+    monkeypatch.setattr(freecycle.rmt, "sample_traces", refuse)
+    code, out, err = run(
+        capsys, "rmt", "--gens", "2", "--size", "100", "--trials", "200", "--seed", "1",
+        "--csv", str(tmp_path / "missing" / "x.csv"),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 def test_rmt_seed_echoed_when_drawn(capsys):
     code, out, _ = run(
         capsys, "rmt", "--gens", "1", "--size", "8", "--trials", "10",

@@ -20,7 +20,7 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import naive_census, naive_good_rotations, plain_census
+from oracles import naive_census, naive_good_rotations, plain_census, walk_kesten_moments
 
 
 class TestClassSize:
@@ -58,15 +58,13 @@ class TestKestenMoments:
         assert all(kesten_moment(n, 3) == 0 for n in range(1, 12, 2))
 
     def test_single_generator_is_central_binomial(self):
-        for n in range(0, 12, 2):
+        for n in range(0, 41, 2):
             assert kesten_moment(n, 1) == math.comb(n, n // 2)
 
-    def test_one_walk_gives_every_moment(self):
-        for n_gens in (1, 2, 3):
-            moments = counting._kesten_moments(40, n_gens)
-            assert moments == [kesten_moment(i, n_gens) for i in range(41)]
-        central = [math.comb(i, i // 2) for i in range(0, 41, 2)]
-        assert counting._kesten_moments(40, 1)[::2] == central
+    def test_ballot_sum_matches_the_walk(self):
+        for n_gens in (1, 2, 3, 27):
+            moments = walk_kesten_moments(200, n_gens)
+            assert [kesten_moment(i, n_gens) for i in range(201)] == moments
 
     def test_matches_census_empty_class(self):
         assert kesten_moment(4, 2) == census(4, 2).counts[""]

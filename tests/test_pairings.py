@@ -383,3 +383,15 @@ class TestSerialization:
         assert data["singletons"] == [3, 4]
         assert data["orientations"]["3"] == "out"
         assert half_pairing_from_json(data) == NESTED_PAIRING
+
+    @pytest.mark.parametrize(
+        "data, bad",
+        [
+            ({"n": 3, "pairs": [[True, 2]], "singletons": [3]}, "True"),
+            ({"n": 3.9, "pairs": [[1, 2.5]], "singletons": ["3"]}, "3.9"),
+            ({"n": "3", "pairs": [["1", "2"]], "singletons": [3]}, "'3'"),
+        ],
+    )
+    def test_json_non_integer_points_rejected(self, data, bad):
+        with pytest.raises(ValueError, match=f"must be integers, got {bad}"):
+            half_pairing_from_json(data)

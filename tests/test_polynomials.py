@@ -104,13 +104,13 @@ class TestFluctuationPoly:
             modified_chebyshev(0, n_gens)
 
     def test_recurrence_equals_triangle_for_odd_n(self):
-        for n_gens in (1, 2, 3):
-            for n in range(1, 40, 2):
+        for n_gens in (1, 2, 3, 27):
+            for n in range(1, 121, 2):
                 assert fluctuation_poly_recurrence(n, n_gens, "x") == fluctuation_poly(n, n_gens)
 
     def test_recurrence_off_by_constant_for_even_n(self):
-        for n_gens in (1, 2, 3):
-            for n in range(2, 40, 2):
+        for n_gens in (1, 2, 3, 27):
+            for n in range(2, 121, 2):
                 diff = fluctuation_poly_recurrence(n, n_gens, "x") - fluctuation_poly(n, n_gens)
                 assert diff == IntPolynomial(4 - 2 * n_gens)
         # the n = 2 constant is 4 - 2N: zero exactly at N = 2
