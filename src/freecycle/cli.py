@@ -4,7 +4,8 @@ Words are given positionally in either text encoding; the alphabet size is
 always ``--gens``.  ``--len`` is a word length, never an alphabet size.  The
 empty word prints as ``1`` in text output; JSON output uses the empty string.
 Each ``cmd_*`` handler returns its JSON payload, its text and its exit code;
-``main`` alone prints, once, whichever form ``--json`` selects.
+``main`` alone prints, once, whichever form ``--json`` selects.  Handlers whose
+output grows with the input build only that form and leave the other empty.
 Exit codes: 0 success, 1 verification failure, 2 usage error or an output file
 that cannot be written, and 141 (as for a command that SIGPIPE ends) when the
 reader closes stdout early, as ``| head`` does.
@@ -103,10 +104,12 @@ def cmd_dots(args) -> Output:
 
 def cmd_enumerate_pairings(args) -> Output:
     found = pairings.enumerate_half_pairings(args.len, args.through)
-    payload = {"n": args.len, "through": args.through, "count": len(found)}
-    payload["pairings"] = [pairings.half_pairing_to_json(p) for p in found]
+    if args.json:
+        payload = {"n": args.len, "through": args.through, "count": len(found)}
+        payload["pairings"] = [pairings.half_pairing_to_json(p) for p in found]
+        return payload, "", 0
     lines = [pairings.render_half_pairing(p).replace("\n", ", ") for p in found]
-    return payload, "\n".join([f"count={len(found)}", *lines]), 0
+    return {}, "\n".join([f"count={len(found)}", *lines]), 0
 
 
 def cmd_count(args) -> Output:
@@ -123,9 +126,11 @@ def cmd_census(args) -> Output:
     tally = counting.census(args.len, args.gens, budget=args.budget, jobs=args.jobs)
     if args.csv:
         _write_csv(args.csv, ["reduction", "length", "count"], tally.csv_rows())
+    if args.json:
+        return tally.to_json(), "", 0
     items = sorted(tally.counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
     lines = [f"{key or '1'} {count}" for key, count in items]
-    return tally.to_json(), "\n".join([*lines, f"total={tally.total} classes={len(items)}"]), 0
+    return {}, "\n".join([*lines, f"total={tally.total} classes={len(items)}"]), 0
 
 
 def cmd_verify_xtoq(args) -> Output:

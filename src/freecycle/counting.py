@@ -6,9 +6,11 @@ given reduced word of length k depends only on n, k and the alphabet size:
 identity) follows no such product; its sizes are the moments of the Kesten
 measure, a sum of ballot numbers over closed walks on the tree.  The census,
 which the formula and the moments are verified against, is an exact tally over
-every word of a given length, one word per orbit of signed generator relabelings:
-a relabeling keeps every test of whether two letters cancel, so it carries
-the standard reduction of a word to that of its image.
+every word of a given length, one word per orbit of rotations and signed
+generator relabelings.  A relabeling keeps every test of whether two letters
+cancel, so it carries the standard reduction of a word to that of its image;
+by the cycle lemma, rotating a word past c good rotations rotates its
+standard reduction by c.
 """
 
 from __future__ import annotations
@@ -120,45 +122,104 @@ def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
 
     Canonical words use their generators in the order 1, 2, ... of first use,
     each first use positive: after j generators come 1..j, -1..-j and, while
-    j < N, j + 1.  The walk numbers the subtrees it meets at depth n // 2 and
-    enters those whose number is ``slab`` mod ``jobs``.  The reduction stack
-    and partners are carried down the tree and undone on the way up; a leaf
-    reads its good rotations off them.
+    j < N, j + 1.  Such a word is the least of its relabelings in the order
+    1 < -1 < 2 < -2 < ..., and the walk keeps a word w only if it is also the
+    least canonical form of its rotations: one word per orbit of rotations
+    and signed relabelings.
+
+    A tie is an offset r >= 1 whose rotation, relabeled to canonical form,
+    still reads as w so far; it is kept with that relabeling.  A next letter
+    that ranks below w's through some tie prunes the subtree, and one that
+    ranks above drops the tie.  At a leaf each tie is read on round the end of
+    the word, and the least that reads as w throughout is the period p (n if
+    none): rotations r < p lie in distinct relabeling orbits, and later ones
+    repeat them.  By the cycle lemma rot_r(w) reduces to rot_c(std w), where
+    c counts the good rotations of w below r, so one kernel pass tallies all
+    p of them.
+
+    The reduction stack and partners are carried down the tree and undone on
+    the way up.  The walk numbers the subtrees it meets two thirds of the way
+    down and enters those whose number is ``slab`` mod ``jobs``.
     """
     moves = [
         [(l, j) for l in (*range(1, j + 1), *range(-1, -j - 1, -1))]
         + [(j + 1, j + 1)] * (j < alphabet_size)
         for j in range(min(n, alphabet_size) + 1)
     ]
+    rank = [0] * (2 * alphabet_size + 1)  # rank[l] is l's place in 1 < -1 < 2 < -2 < ...
+    for g in range(1, alphabet_size + 1):
+        rank[g], rank[-g] = 2 * g - 1, 2 * g
+    # the relabeling of the tie that starts at letter l, which it reads as 1
+    first = {l: {l: 1, -l: -1} for g in range(1, alphabet_size + 1) for l in (g, -g)}
     letters = [0] * n
     partner = [-1] * n
     stack: list[int] = []
     tally: _Tally = {}
-    split = n // 2
+    split = (2 * n + 1) // 3
     subtrees = count()
 
-    def walk(i: int, j: int) -> None:
-        # letters[:i] uses j generators
-        # every share repeats the walk above depth n // 2, about the square root of the work
+    def leaf(j: int, ties: list[tuple[int, dict[int, int]]]) -> None:
+        period = n or 1  # the empty word is its one rotation
+        for r, label in ties:  # read rotation r round the end of the word
+            for t in range(r):
+                l, want = letters[t], letters[n - r + t]
+                image = label.get(l)
+                if image is None:
+                    image = len(label) // 2 + 1
+                    label = {**label, l: image, -l: -image}
+                if image != want:
+                    if rank[image] < rank[want]:
+                        return
+                    break
+            else:
+                period = r
+                break
+        good = _good_rotations(letters, stack, partner)
+        k = len(good)
+        core = tuple(letters[g] for g in good) * 2  # core[c:c + k] is std(w) rotated by c <= k
+        start = 0  # rotations start..end - 1 have c good rotations below them
+        for c, end in enumerate([g + 1 for g in good if g + 1 < period] + [period]):
+            key = (core[c : c + k], j)
+            tally[key] = tally.get(key, 0) + end - start
+            start = end
+
+    def walk(i: int, j: int, ties: list[tuple[int, dict[int, int]]]) -> None:
+        # letters[:i] uses j generators; each tie (r, label) has
+        # label(letters[r:i]) == letters[:i - r], label on signed letters
+        # every share repeats the walk above the split, a small part of the work
         if i == split and next(subtrees) % jobs != slab:
             return
         if i == n:
-            key = (tuple(map(letters.__getitem__, _good_rotations(letters, stack, partner))), j)
-            tally[key] = tally.get(key, 0) + 1
+            leaf(j, ties)
             return
         for l, used in moves[j]:
-            letters[i] = l
-            if stack and letters[stack[-1]] == -l:
-                partner[i] = stack.pop()
-                walk(i + 1, used)
-                stack.append(partner[i])
-                partner[i] = -1
+            kept = []
+            for tie in ties:
+                r, label = tie
+                want = letters[i - r]
+                image = label.get(l)
+                if image is None:  # new to the rotation: equal if want is new too, else above
+                    if want == len(label) // 2 + 1:
+                        kept.append((r, {**label, l: want, -l: -want}))
+                elif image == want:
+                    kept.append(tie)
+                elif rank[image] < rank[want]:
+                    break
             else:
-                stack.append(i)
-                walk(i + 1, used)
-                stack.pop()
+                if i:
+                    kept.append((i, first[l]))
+                letters[i] = l
+                if stack and letters[stack[-1]] == -l:
+                    partner[i] = stack.pop()
+                    walk(i + 1, used, kept)
+                    stack.append(partner[i])
+                    partner[i] = -1
+                else:
+                    stack.append(i)
+                    walk(i + 1, used, kept)
+                    stack.pop()
 
-    walk(0, 0)
+    walk(0, 0, [])
     return tally
 
 
@@ -223,14 +284,15 @@ def census(
 ) -> Census:
     """Standard cyclic reduction tally over all (2N)^n words of length n.
 
-    Exhaustive over the orbits of signed generator relabelings and exact: one
-    canonical word per orbit is reduced, and since a relabeling preserves
-    every cancellation test, its reduction's relabelings take the orbit's
-    2^j N!/(N-j)! words.  Refuses to run (rather than approximating) when the
-    (2N)^n words would exceed ``budget`` word-steps.  ``jobs`` deals the
-    subtrees of the canonical word tree out to processes, at most one per
-    core; results do not depend on the split.  Results are not cached, so
-    ``cache`` has no effect.
+    Exhaustive over the orbits of rotations and signed generator relabelings,
+    and exact: one word per orbit is reduced, its distinct rotations take the
+    rotations of its reduction that the cycle lemma names, and since a
+    relabeling preserves every cancellation test, each rotation's
+    2^j N!/(N-j)! relabelings take the relabelings of its reduction.  Refuses
+    to run (rather than approximating) when the (2N)^n words would exceed
+    ``budget`` word-steps.  ``jobs`` deals the subtrees of the pruned word
+    tree out to processes, at most one per core; results do not depend on
+    the split.  Results are not cached, so ``cache`` has no effect.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")

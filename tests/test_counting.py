@@ -14,6 +14,7 @@ from freecycle import (
     cyclically_reduced_words,
     is_cyclically_reduced,
     kesten_moment,
+    parse_word,
     reduction_class_size,
     standard_cyclic_reduction,
     verify_power_expansion,
@@ -186,7 +187,7 @@ class TestCensus:
         assert dict(census(5, 2, jobs=2).counts) == naive_census(5, 2)
 
     def test_slab_split_inside_the_canonical_tree(self):
-        # census(6, 3) is shared out by the subtrees at depth 3 of the canonical tree
+        # census(6, 3) is shared out by the subtrees at depth 4 of the pruned tree
         assert dict(census(6, 3, jobs=2).counts) == dict(census(6, 3).counts)
         whole = counting._census_range(6, 3, 0, 1)
         for jobs in (2, 3, 7):
@@ -215,6 +216,61 @@ class TestCensus:
         for n, n_gens in ((10, 2), (18, 1), (9, 3)):
             sizes = [sum(counting._census_range(n, n_gens, slab, 2).values()) for slab in (0, 1)]
             assert max(sizes) <= 0.55 * sum(sizes)
+
+    def test_matches_per_word_reduction_on_symmetric_and_periodic_sizes(self):
+        # many orbits here are short: a^n, (aA)^m, and words over all N generators
+        for n, n_gens in ((4, 4), (5, 3), (9, 1), (10, 1)):
+            assert dict(census(n, n_gens).counts) == plain_census(n, n_gens)
+
+    def test_share_split_inside_the_pruned_tree(self):
+        for n, n_gens in ((8, 2), (14, 1)):
+            whole = counting._census_range(n, n_gens, 0, 1)
+            for jobs in (2, 3, 7):
+                merged: Counter = Counter()
+                for slab in range(jobs):
+                    merged.update(counting._census_range(n, n_gens, slab, jobs))
+                assert merged == whole
+
+    def test_periodic_words_count_each_rotation_once(self):
+        # Each word's orbit under rotations and signed relabelings is smaller than n
+        # times its relabelings, so the walk must count only its rotations below the
+        # period: the classes of those rotations get plain_census's counts.
+        periodic = ("ababab", "aBaBaB", "aAaAaA", "aaaaaa", "abAabA", "aabaab")
+        for n_gens, texts in ((2, periodic), (3, (*periodic, "abcabc", "abCabC"))):
+            want = plain_census(6, n_gens)
+            counts = census(6, n_gens).counts
+            gens = range(1, n_gens + 1)
+            relabelings = [
+                {e * g: e * s * p for g, p, s in zip(gens, perm, signs) for e in (1, -1)}
+                for perm in permutations(gens)
+                for signs in product((1, -1), repeat=n_gens)
+            ]
+            for text in texts:
+                letters = parse_word(text, n_gens).letters
+                rotations = {letters[r:] + letters[:r] for r in range(6)}
+                images = {tuple(sigma[l] for l in letters) for sigma in relabelings}
+                orbit = {tuple(sigma[l] for l in rot) for rot in rotations for sigma in relabelings}
+                assert len(orbit) < 6 * len(images)
+                for rot in rotations:
+                    key = word_to_text(standard_cyclic_reduction(Word(n_gens, rot)))
+                    assert counts[key] == want[key]
+
+    def test_rotation_moves_the_reduction_by_good_rotations_below(self):
+        # The census tallies every rotation of a word from one kernel pass:
+        # std(rot_r w) = rot_c(std w), c the number of good rotations of w below r.
+        for n_gens, n_max in ((1, 12), (2, 7)):
+            alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
+            for n in range(1, n_max + 1):
+                good = {
+                    letters: naive_good_rotations(Word(n_gens, letters))
+                    for letters in product(alphabet, repeat=n)
+                }
+                for letters, rotations in good.items():
+                    std = [letters[g] for g in rotations]
+                    for r in range(n):
+                        c = sum(g < r for g in rotations)
+                        rotated = letters[r:] + letters[:r]
+                        assert [rotated[g] for g in good[rotated]] == std[c:] + std[:c]
 
     @pytest.mark.parametrize("jobs", [0, -4])
     def test_jobs_below_one_rejected(self, jobs):
