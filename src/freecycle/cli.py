@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import secrets
 import sys
@@ -112,18 +113,45 @@ def cmd_enumerate_pairings(args) -> Output:
     return {}, "\n".join([f"count={len(found)}", *lines]), 0
 
 
+def _refuse_unprintable(log_value: float) -> None:
+    """Refuses, before computing it, an answer of at least e^log_value that has more
+    digits than Python converts from an integer to text."""
+    # 0 is no limit, as on Python 3.10 releases before the limit came in
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # at least 10^limit has limit + 1 digits; the 1e-6 covers lgamma's rounding
+    if limit and log_value / math.log(10) > limit + 1e-6:
+        raise ValueError(
+            f"the answer has more than {limit} digits, Python's limit on printing an integer"
+            " (PYTHONINTMAXSTRDIGITS=0 lifts it)"
+        )
+
+
 def cmd_count(args) -> Output:
-    value = counting.reduction_class_size(args.len, args.through, args.gens)
-    return {"n": args.len, "k": args.through, "gens": args.gens, "count": value}, str(value), 0
+    n, k, gens = args.len, args.through, args.gens
+    if gens >= 1 and 1 <= k <= n and (n - k) % 2 == 0:  # otherwise the count is 0 or refused
+        half = (n - k) // 2
+        _refuse_unprintable(
+            half * math.log(2 * gens - 1)
+            + math.lgamma(n + 1) - math.lgamma(half + 1) - math.lgamma(n - half + 1)
+        )
+    value = counting.reduction_class_size(n, k, gens)
+    return {"n": n, "k": k, "gens": gens, "count": value}, str(value), 0
 
 
 def cmd_kesten(args) -> Output:
-    value = counting.kesten_moment(args.len, args.gens)
-    return {"n": args.len, "gens": args.gens, "moment": value}, str(value), 0
+    h, gens = args.len // 2, args.gens
+    if gens >= 1 and h >= 1 and args.len % 2 == 0:
+        # the r = 1 term of the ballot sum, (2h-2)!/(h! (h-1)!) 2N (2N-1)^(h-1), bounds it below
+        _refuse_unprintable(
+            math.lgamma(2 * h - 1) - math.lgamma(h + 1) - math.lgamma(h)
+            + math.log(2 * gens) + (h - 1) * math.log(2 * gens - 1)
+        )
+    value = counting.kesten_moment(args.len, gens)
+    return {"n": args.len, "gens": gens, "moment": value}, str(value), 0
 
 
 def cmd_census(args) -> Output:
-    tally = counting.census(args.len, args.gens, budget=args.budget, jobs=args.jobs)
+    tally = counting.census(args.len, args.gens, budget=args.budget)
     if args.csv:
         _write_csv(args.csv, ["reduction", "length", "count"], tally.csv_rows())
     if args.json:
@@ -171,6 +199,8 @@ def cmd_rmt(args) -> Output:
     k_max = args.k_max if args.k_max is not None else min(4, cfg.max_power)
     if not 0 <= k_max <= cfg.max_power:
         raise ValueError("need 0 <= --k-max <= --max-power (0 disables the diagonalization check)")
+    if k_max > 0 and cfg.trials < 3:
+        raise ValueError("need --trials >= 3 for a jackknife standard error, or --k-max 0")
     # An unwritable --csv fails here, before any trial is sampled.
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_file:
         samples = rmt.sample_traces(cfg)
@@ -265,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         "census", cmd_census, "exhaustive tally of standard cyclic reductions",
         size_opts, budget_opt,
     )
-    sp.add_argument("--jobs", type=int, default=1, help="worker processes, at most one per core")
     sp.add_argument("--csv", metavar="PATH", default=None)
     command(
         "verify-xtoq", cmd_verify_xtoq, "check census against predicted class sizes",

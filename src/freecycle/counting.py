@@ -16,10 +16,8 @@ standard reduction by c.
 from __future__ import annotations
 
 import math
-import os
-from collections import Counter
 from dataclasses import dataclass
-from itertools import count, permutations, product
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Mapping
 
@@ -117,8 +115,8 @@ class Census:
 _Tally = dict[tuple[tuple[int, ...], int], int]
 
 
-def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
-    """Tally (standard reduction, generators used) over share ``slab`` of ``jobs``.
+def _census_range(n: int, alphabet_size: int) -> _Tally:
+    """Tally (standard reduction, generators used) over the canonical words of length n.
 
     Canonical words use their generators in the order 1, 2, ... of first use,
     each first use positive: after j generators come 1..j, -1..-j and, while
@@ -138,8 +136,7 @@ def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
     p of them.
 
     The reduction stack and partners are carried down the tree and undone on
-    the way up.  The walk numbers the subtrees it meets two thirds of the way
-    down and enters those whose number is ``slab`` mod ``jobs``.
+    the way up.
     """
     moves = [
         [(l, j) for l in (*range(1, j + 1), *range(-1, -j - 1, -1))]
@@ -155,8 +152,6 @@ def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
     partner = [-1] * n
     stack: list[int] = []
     tally: _Tally = {}
-    split = (2 * n + 1) // 3
-    subtrees = count()
 
     def leaf(j: int, ties: list[tuple[int, dict[int, int]]]) -> None:
         period = n or 1  # the empty word is its one rotation
@@ -186,9 +181,6 @@ def _census_range(n: int, alphabet_size: int, slab: int, jobs: int) -> _Tally:
     def walk(i: int, j: int, ties: list[tuple[int, dict[int, int]]]) -> None:
         # letters[:i] uses j generators; each tie (r, label) has
         # label(letters[r:i]) == letters[:i - r], label on signed letters
-        # every share repeats the walk above the split, a small part of the work
-        if i == split and next(subtrees) % jobs != slab:
-            return
         if i == n:
             leaf(j, ties)
             return
@@ -279,7 +271,6 @@ def census(
     alphabet_size: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    jobs: int = 1,
     cache: bool = True,
 ) -> Census:
     """Standard cyclic reduction tally over all (2N)^n words of length n.
@@ -290,30 +281,13 @@ def census(
     relabeling preserves every cancellation test, each rotation's
     2^j N!/(N-j)! relabelings take the relabelings of its reduction.  Refuses
     to run (rather than approximating) when the (2N)^n words would exceed
-    ``budget`` word-steps.  ``jobs`` deals the subtrees of the pruned word
-    tree out to processes, at most one per core; results do not depend on
-    the split.  Results are not cached, so ``cache`` has no effect.
+    ``budget`` word-steps.  Results are not cached, so ``cache`` has no
+    effect.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
-    if jobs < 1:
-        raise ValueError(f"need jobs >= 1, got {jobs}")
     _census_words(n, alphabet_size, budget)
-    jobs = min(jobs, os.cpu_count() or 1)
-    if jobs == 1:
-        shares = [_census_range(n, alphabet_size, 0, 1)]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            shares = list(
-                pool.map(
-                    _census_range, [n] * jobs, [alphabet_size] * jobs, range(jobs), [jobs] * jobs
-                )
-            )
-    tally: Counter[tuple[tuple[int, ...], int]] = Counter()
-    for share in shares:
-        tally.update(share)  # adds counts
+    tally = _census_range(n, alphabet_size)
     return Census(alphabet_size, n, MappingProxyType(_expand(tally, alphabet_size)))
 
 

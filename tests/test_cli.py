@@ -101,17 +101,54 @@ def test_kesten(capsys):
     assert (code, out) == (0, "28")
 
 
+@pytest.fixture
+def int_digits_640():
+    # the least limit Python allows on converting an integer to text
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize(
+    "command, function, args, printable, refused",
+    [
+        # count(1190, 2, 2) has 640 digits and count(1192, 2, 2) 642
+        (["count", "--through", "2"], "reduction_class_size", (2, 2), 1190, 1192),
+        # kesten(1192, 2) has 640 digits and kesten(1196, 2) 642; kesten(1194, 2), with
+        # 641, is above the lower bound's reach and fails only when printed
+        (["kesten"], "kesten_moment", (2,), 1192, 1196),
+    ],
+    ids=["count", "kesten"],
+)
+def test_unprintable_answer_refused_before_computing(
+    capsys, monkeypatch, int_digits_640, command, function, args, printable, refused
+):
+    import freecycle.counting
+
+    code, out, _ = run(capsys, *command, "--len", str(printable), "--gens", "2")
+    assert code == 0 and len(out) == 640
+    with pytest.raises(ValueError, match="limit"):
+        str(getattr(freecycle.counting, function)(refused, *args))
+
+    def refuse(*args):
+        raise AssertionError("computed an answer too long to print")
+
+    monkeypatch.setattr(freecycle.counting, function, refuse)
+    code, out, err = run(capsys, *command, "--len", str(refused), "--gens", "2", "--json")
+    assert (code, out) == (2, "") and "more than 640 digits" in err
+
+
 def test_census_text_json_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "census", "--len", "3", "--gens", "1")
     assert code == 0
     assert out.splitlines()[-1] == "total=8 classes=4"
 
-    for extra in (["--jobs", "2"], []):
-        code, out, _ = run(capsys, "census", "--len", "4", "--gens", "2", *extra, "--json")
-        data = json.loads(out)
-        assert code == 0
-        assert data["counts"][""] == 28
-        assert data["counts"]["ab"] == 12
+    code, out, _ = run(capsys, "census", "--len", "4", "--gens", "2", "--json")
+    data = json.loads(out)
+    assert code == 0
+    assert data["counts"][""] == 28
+    assert data["counts"]["ab"] == 12
 
     # above 26 generators the keys are JSON arrays and the identity class is ""
     for n, gens, identity, other in (
@@ -130,12 +167,6 @@ def test_census_text_json_csv(capsys, tmp_path):
 def test_census_budget_exceeded(capsys):
     code, _, err = run(capsys, "census", "--len", "30", "--gens", "2", "--budget", "1000")
     assert code == 2 and "budget" in err
-
-
-@pytest.mark.parametrize("jobs", ["0", "-4"])
-def test_census_jobs_below_one_rejected(capsys, jobs):
-    code, out, err = run(capsys, "census", "--len", "3", "--gens", "2", "--jobs", jobs)
-    assert (code, out) == (2, "") and "jobs" in err
 
 
 def test_verify_xtoq(capsys):
@@ -206,6 +237,23 @@ def test_rmt_unwritable_csv_fails_before_sampling(capsys, monkeypatch, tmp_path)
         "--csv", str(tmp_path / "missing" / "x.csv"),
     )
     assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+def test_rmt_too_few_trials_leave_csv_unchanged(capsys, tmp_path):
+    # two trials give moments but no jackknife for the diagonalization check
+    path = tmp_path / "old.csv"
+    path.write_text("kept\n")
+    code, out, err = run(
+        capsys, "rmt", "--gens", "2", "--size", "20", "--trials", "2", "--seed", "1",
+        "--csv", str(path),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: need --trials >= 3")
+    assert path.read_text() == "kept\n"
+    code, _, _ = run(
+        capsys, "rmt", "--gens", "2", "--size", "20", "--trials", "2", "--seed", "1",
+        "--k-max", "0",
+    )
+    assert code == 0
 
 
 def test_rmt_seed_echoed_when_drawn(capsys):
