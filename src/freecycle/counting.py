@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .words import _ALPHABET, Word, _good_rotations, parse_word, word_to_text
 
@@ -51,7 +52,8 @@ def kesten_moment(n: int, alphabet_size: int) -> int:
     and its distance from the root is a Dyck path.  Of those with n = 2h steps,
     r C(2h-r, h) / (2h-r) return to the root r times (a ballot number, so the
     division is exact).  Each of the r steps up from the root has 2N letters,
-    each other step up 2N-1, and each step down 1.
+    each other step up 2N-1, and each step down 1.  Each term is the one
+    above it, r + 1, times an exact ratio.
 
     >>> [kesten_moment(n, 2) for n in range(0, 9, 2)]
     [1, 4, 28, 232, 2092]
@@ -62,13 +64,12 @@ def kesten_moment(n: int, alphabet_size: int) -> int:
         raise ValueError("need alphabet_size >= 1")
     if n % 2:
         return 0
-    if n == 0:
-        return 1
     h, q = n // 2, 2 * alphabet_size - 1
-    return sum(
-        r * math.comb(2 * h - r, h) // (2 * h - r) * (q + 1) ** r * q ** (h - r)
-        for r in range(1, h + 1)
-    )
+    term = total = (q + 1) ** h  # r = h
+    for r in range(h, 1, -1):
+        term = term * (r - 1) * (2 * h - r) * q // (r * (h - r + 1) * (q + 1))
+        total += term
+    return total
 
 
 def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:
@@ -87,15 +88,38 @@ def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:
 
 @dataclass(frozen=True)
 class Census:
-    """Exact tally of standard cyclic reductions over all words of one length."""
+    """Exact tally of standard cyclic reductions over all words of one length.
+
+    ``counts`` maps each class, spelled by ``word_to_text``, to its number of
+    words.  A census from ``census`` keeps ``orbits``: each canonical class
+    (generators in order of first use, each first use positive) mapped to the
+    count its orbit of signed relabelings shares, and spells ``counts`` from
+    them on first use.  ``Census(N, n, counts)`` holds text counts alone.
+    """
 
     alphabet_size: int
     length: int
-    counts: Mapping[str, int]
+    text_counts: Mapping[str, int] | None = None
+    orbits: Mapping[tuple[int, ...], int] | None = None
+
+    @cached_property
+    def counts(self) -> Mapping[str, int]:
+        if self.orbits is None:
+            return self.text_counts
+        return MappingProxyType(_spell(self.orbits, self.alphabet_size))
+
+    def entries(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """(letters, classes, count per class): each canonical class with the
+        2^m N!/(N-m)! classes of its orbit, m its generators, or each text key alone."""
+        n_gens = self.alphabet_size
+        if self.orbits is None:
+            return [(parse_word(key, n_gens).letters, 1, c) for key, c in self.counts.items()]
+        return [(key, 2 ** max(key, default=0) * math.perm(n_gens, max(key, default=0)), c)
+                for key, c in self.orbits.items()]
 
     @property
     def total(self) -> int:
-        return sum(self.counts.values())
+        return sum(size * count for _, size, count in self.entries())
 
     def to_json(self) -> dict:
         return {
@@ -105,8 +129,9 @@ class Census:
         }
 
     def csv_rows(self) -> list[tuple[str, int, int]]:
+        # a JSON key has one comma fewer than letters, an alphabetic key one character each
         return [
-            (key, len(parse_word(key, self.alphabet_size)), count)
+            (key, key.count(",") + 1 if key.startswith("[") else len(key), count)
             for key, count in sorted(self.counts.items())
         ]
 
@@ -215,20 +240,28 @@ def _census_range(n: int, alphabet_size: int) -> _Tally:
     return tally
 
 
-def _expand(tally: _Tally, alphabet_size: int) -> dict[str, int]:
-    """Class counts by text from a canonical tally.
+def _orbits(tally: _Tally, alphabet_size: int) -> dict[tuple[int, ...], int]:
+    """The count per class of each canonical class, from a canonical tally.
 
     A canonical word on j generators stands for its 2^j N!/(N-j)! signed
     relabelings.  Each reduction is relabeled to its own canonical form on m
-    generators, whose 2^m N!/(N-m)! relabelings are distinct classes with
-    one count, so each class is rendered once.
+    generators, whose 2^m N!/(N-m)! relabelings are distinct classes with one
+    count.
     """
-    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    orbits: dict[tuple[int, ...], int] = {}
     for (key, j), count in tally.items():
         key, m = _relabel_by_first_use(key)
-        group = groups.setdefault(m, {})
         weight = 2 ** (j - m) * math.perm(alphabet_size - m, j - m)
-        group[key] = group.get(key, 0) + count * weight
+        orbits[key] = orbits.get(key, 0) + count * weight
+    return orbits
+
+
+def _spell(orbits: Mapping[tuple[int, ...], int], alphabet_size: int) -> dict[str, int]:
+    """Class counts by text: each word's count, given to each of its signed relabelings,
+    the identity first.  A word on m generators must use 1..m."""
+    groups: dict[int, dict[tuple[int, ...], int]] = {}
+    for key, count in orbits.items():
+        groups.setdefault(max(map(abs, key), default=0), {})[key] = count
     alphabetic = alphabet_size <= 26
     counts: dict[str, int] = {}
     for m, group in groups.items():
@@ -279,24 +312,23 @@ def census(
     and exact: one word per orbit is reduced, its distinct rotations take the
     rotations of its reduction that the cycle lemma names, and since a
     relabeling preserves every cancellation test, each rotation's
-    2^j N!/(N-j)! relabelings take the relabelings of its reduction.  Refuses
-    to run (rather than approximating) when the (2N)^n words would exceed
-    ``budget`` word-steps.  Results are not cached, so ``cache`` has no
-    effect.
+    2^j N!/(N-j)! relabelings take the relabelings of its reduction.  Classes
+    are spelled only when ``counts`` is first read.  Refuses to run (rather
+    than approximating) when the (2N)^n words would exceed ``budget``
+    word-steps.  Results are not cached, so ``cache`` has no effect.
     """
     if n < 0 or alphabet_size < 1:
         raise ValueError("need n >= 0 and alphabet_size >= 1")
     _census_words(n, alphabet_size, budget)
-    tally = _census_range(n, alphabet_size)
-    return Census(alphabet_size, n, MappingProxyType(_expand(tally, alphabet_size)))
+    orbits = _orbits(_census_range(n, alphabet_size), alphabet_size)
+    return Census(alphabet_size, n, orbits=MappingProxyType(orbits))
 
 
-def _violations(label: str, got: Mapping[str, int], want: Mapping[str, int]) -> list[str]:
-    """One line per class whose count in ``got`` differs from ``want``; absent counts 0."""
+def _violations(label: str, rows: Iterable[tuple[str, int, int]]) -> list[str]:
+    """One line per (class, counted, predicted) row, in the order of the class texts."""
     return [
-        f"{label}: class {key!r} counted {got.get(key, 0)}, predicted {want.get(key, 0)}"
-        for key in sorted(got.keys() | want.keys())
-        if got.get(key, 0) != want.get(key, 0)
+        f"{label}: class {key!r} counted {got}, predicted {want}"
+        for key, got, want in sorted(rows)
     ]
 
 
@@ -329,15 +361,33 @@ def verify_power_expansion(
     must appear exactly reduction_class_size(n, k) times, the empty reduction
     exactly kesten_moment(n) times for even n, and nothing else may appear;
     the counts must add up to (2N)^n.
+
+    The check runs over ``Census.entries``, one per orbit of signed
+    relabelings or per key of text counts.  Each count must be predicted, each
+    class cyclically reduced, and the classes of each length k must number
+    (2N-1)^k + 1 + (N-1)(1+(-1)^k), as distinct canonical classes have disjoint
+    orbits.  A violation spells only the offending orbit, or lists the words of
+    a length whose classes fall short.
     """
     tally = census(n, alphabet_size, budget=budget)
-    kesten = kesten_moment(n, alphabet_size)
-    expected = {
-        word_to_text(v): reduction_class_size(n, k, alphabet_size) if k else kesten
-        for k in range(n, -1, -2)
-        for v in cyclically_reduced_words(k, alphabet_size)
-    }
-    violations = _violations("census", tally.counts, expected)
+    predicted = [kesten_moment(n, alphabet_size)]
+    predicted += [reduction_class_size(n, k, alphabet_size) for k in range(1, n + 1)]
+    found = [0] * (n + 1)  # cyclically reduced classes of each length
+    rows = []
+    for letters, size, count in tally.entries():
+        k = len(letters)
+        reduced = k <= n and all(a != -b for a, b in zip(letters, letters[1:] + letters[:1]))
+        if reduced:
+            found[k] += size
+        want = predicted[k] if reduced else 0
+        if count != want:  # the first `size` texts: the orbit, or a text key itself
+            rows += [(t, count, want) for t in [*_spell({letters: count}, alphabet_size)][:size]]
+    q = 2 * alphabet_size - 1
+    for k in range(n % 2, n + 1, 2):
+        if found[k] < (q**k + 1 + (alphabet_size - 1) * (1 + (-1) ** k) if k else 1):
+            texts = map(word_to_text, cyclically_reduced_words(k, alphabet_size))
+            rows += [(t, 0, predicted[k]) for t in texts if t not in tally.counts]
+    violations = _violations("census", rows)
     total = tally.total
     if total != (2 * alphabet_size) ** n:
         violations.append(f"census total {total} != {(2 * alphabet_size) ** n}")

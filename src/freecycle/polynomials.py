@@ -17,15 +17,12 @@ from typing import Literal, Mapping
 
 from .counting import (
     DEFAULT_BUDGET,
-    Census,
     _census_words,
+    _spell,
     _violations,
     census,
-    cyclically_reduced_words,
     kesten_moment,
-    reduction_class_size,
 )
-from .words import word_to_text
 
 R1Choice = Literal["x", "one"]
 
@@ -180,11 +177,15 @@ def fluctuation_poly(n: int, alphabet_size: int) -> IntPolynomial:
     # The Q_k term of the reduced expansion of sum c_j x^j is sum_{j >= k} c_j s(j, k) with
     # s(k, k) = 1; it is 1 for k = n and 0 below, which fixes each c_k from those above it.
     # For even n the identity term, sum c_j M_j over the Kesten moments M_j, vanishes too.
+    # Down column k, s(a + 2, k) = q^h C(a + 2, h) follows s(a, k) by an exact ratio.
+    q = 2 * alphabet_size - 1
     coeffs = [0] * n + [1]
     for k in range(n - 2, 0, -2):
-        coeffs[k] = -sum(
-            coeffs[j] * reduction_class_size(j, k, alphabet_size) for j in range(k + 2, n + 1, 2)
-        )
+        s, total = 1, 0
+        for h, a in enumerate(range(k, n - 1, 2), 1):
+            s = s * q * (a + 2) * (a + 1) // (h * (a - h + 2))
+            total += coeffs[a + 2] * s
+        coeffs[k] = -total
     if n % 2 == 0:
         coeffs[0] = -sum(coeffs[j] * kesten_moment(j, alphabet_size) for j in range(2, n + 1, 2))
     return IntPolynomial(*coeffs)
@@ -219,15 +220,32 @@ class PolyExpansionReport:
         }
 
 
-def _reduced_expansion(p: IntPolynomial, censuses: Mapping[int, Census]) -> dict[str, int]:
-    """Standard cyclic reduction of p(x), read from the census of each degree in p."""
-    acc: dict[str, int] = {}
+def _reduced_expansion(
+    p: IntPolynomial, censuses: Mapping[int, Mapping[tuple[int, ...], int]]
+) -> dict[tuple[int, ...], int]:
+    """Standard cyclic reduction of p(x) by canonical class, read from the census of each
+    degree in p: every class in a canonical class's orbit has the same count."""
+    acc: dict[tuple[int, ...], int] = {}
     for j, c in enumerate(p.coeffs):
         if not c:
             continue
-        for key, count in censuses[j].counts.items():
+        for key, count in censuses[j].items():
             acc[key] = acc.get(key, 0) + c * count
     return {key: v for key, v in acc.items() if v}
+
+
+def _canonical_cyclically_reduced(n: int, alphabet_size: int) -> list[tuple[int, ...]]:
+    """The cyclically reduced words of length n >= 1 that use their generators in the order
+    1, 2, ... of first use, each first use positive: one per orbit of signed relabelings."""
+    words = [(1,)]
+    for _ in range(n - 1):
+        words = [
+            w + (l,)
+            for w in words
+            for l in range(-max(w), min(max(w) + 1, alphabet_size) + 1)
+            if l and l != -w[-1]
+        ]
+    return [w for w in words if w[-1] != -w[0]]
 
 
 def verify_poly_expansion(
@@ -236,21 +254,29 @@ def verify_poly_expansion(
     """Expand both polynomial constructions through the census and compare to Q_n.
 
     Both polynomials have the parity of n, so each census of those degrees is
-    computed once and shared by the two expansions.
+    computed once and shared by the two expansions.  The expansions run over
+    canonical classes, one per orbit of signed relabelings, and are compared
+    with the canonical cyclically reduced words of length n, which are made
+    here without the census.  A violation spells the offending orbit.
     """
     degrees = range(n % 2, n + 1, 2)
     for j in degrees:  # refuse before enumerating anything
         _census_words(j, alphabet_size, budget)
-    target = {word_to_text(v): 1 for v in cyclically_reduced_words(n, alphabet_size)}
-    censuses = {j: census(j, alphabet_size, budget=budget) for j in degrees}
+    censuses = {j: census(j, alphabet_size, budget=budget).orbits for j in degrees}
+    target = dict.fromkeys(_canonical_cyclically_reduced(n, alphabet_size), 1)
 
     triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)
-    violations = _violations("triangle", triangle, target)
+    violations = _violations("triangle", [
+        (text, triangle.get(key, 0), target.get(key, 0))
+        for key in triangle.keys() | target.keys()
+        if triangle.get(key, 0) != target.get(key, 0)
+        for text in _spell({key: 0}, alphabet_size)
+    ])
     triangle_exact = not violations
 
     rec = _reduced_expansion(fluctuation_poly_recurrence(n, alphabet_size, "x"), censuses)
-    residual: int | None = rec.pop("", 0) - target.get("", 0)
-    if rec != {key: v for key, v in target.items() if key}:
+    residual: int | None = rec.pop((), 0)
+    if rec != target:
         residual = None
         violations.append("recurrence: expansion differs from Q_n by more than a constant")
     return PolyExpansionReport(n, alphabet_size, triangle_exact, residual, tuple(violations))

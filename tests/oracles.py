@@ -5,8 +5,9 @@ test: reduction by repeated literal rewriting instead of a stack, crossing
 detection straight from the four-point definition, covers from explicit
 interval lists, the pairing built by scanning the infinitely repeated
 word instead of rotating to a good offset, Kesten moments from a walk on
-reduced lengths instead of a sum of ballot numbers, and Monte Carlo traces
-from an all-Haar construction and eigenvalues.
+reduced lengths instead of a sum of ballot numbers, the x^n and P_n checks
+over every spelled class instead of one class per orbit, and Monte Carlo
+traces from an all-Haar construction and eigenvalues.
 """
 
 from __future__ import annotations
@@ -14,9 +15,13 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from freecycle import (
+    Census,
     HalfPairing,
     Word,
     cyclic_reduce,
+    cyclically_reduced_words,
+    fluctuation_poly,
+    fluctuation_poly_recurrence,
     reduction_class_size,
     standard_cyclic_reduction,
     word_to_text,
@@ -317,3 +322,53 @@ def second_order_limits(k_max: int, alphabet_size: int) -> tuple[list[list[int]]
     monomial = [[sum(a * b * d for a, b, d in zip(s[i], s[j], diagonal)) for j in range(k_max)]
                 for i in range(k_max)]
     return monomial, diagonal
+
+
+def _spelled_violations(label: str, got: dict[str, int], want: dict[str, int]) -> list[str]:
+    return [
+        f"{label}: class {key!r} counted {got.get(key, 0)}, predicted {want.get(key, 0)}"
+        for key in sorted(got.keys() | want.keys())
+        if got.get(key, 0) != want.get(key, 0)
+    ]
+
+
+def spelled_power_report(tally: Census) -> tuple[list[str], int]:
+    """verify_power_expansion's violations and total for a census, from its spelled
+    counts against every cyclically reduced word of each length, listed and spelled."""
+    n, n_gens = tally.length, tally.alphabet_size
+    kesten = walk_kesten_moments(n, n_gens)[n]
+    expected = {
+        word_to_text(v): reduction_class_size(n, k, n_gens) if k else kesten
+        for k in range(n, -1, -2)
+        for v in cyclically_reduced_words(k, n_gens)
+    }
+    violations = _spelled_violations("census", dict(tally.counts), expected)
+    total = sum(tally.counts.values())
+    if total != (2 * n_gens) ** n:
+        violations.append(f"census total {total} != {(2 * n_gens) ** n}")
+    return violations, total
+
+
+def spelled_poly_report(
+    n: int, n_gens: int, censuses: dict[int, Census]
+) -> tuple[bool, int | None, list[str]]:
+    """verify_poly_expansion's (triangle_exact, recurrence_residual, violations), with
+    both polynomials expanded over the spelled counts of each census and compared to
+    every cyclically reduced word of length n, listed and spelled."""
+    target = {word_to_text(v): 1 for v in cyclically_reduced_words(n, n_gens)}
+
+    def expand(p):
+        acc: dict[str, int] = {}
+        for j, c in enumerate(p.coeffs):
+            for key, count in censuses[j].counts.items() if c else ():
+                acc[key] = acc.get(key, 0) + c * count
+        return {key: v for key, v in acc.items() if v}
+
+    violations = _spelled_violations("triangle", expand(fluctuation_poly(n, n_gens)), target)
+    triangle_exact = not violations
+    rec = expand(fluctuation_poly_recurrence(n, n_gens, "x"))
+    residual = rec.pop("", 0)
+    if rec != target:
+        residual = None
+        violations.append("recurrence: expansion differs from Q_n by more than a constant")
+    return triangle_exact, residual, violations

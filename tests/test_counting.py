@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import permutations, product
 
 import pytest
 
+import freecycle
 from freecycle import (
     BudgetExceededError,
+    Census,
     Word,
     census,
     counting,
@@ -18,7 +23,13 @@ from freecycle import (
     word_to_text,
 )
 
-from oracles import naive_census, naive_good_rotations, plain_census, walk_kesten_moments
+from oracles import (
+    naive_census,
+    naive_good_rotations,
+    plain_census,
+    spelled_power_report,
+    walk_kesten_moments,
+)
 
 
 class TestClassSize:
@@ -256,6 +267,29 @@ class TestVerifyPowerExpansion:
         # N = 3 and 4 above n = 2, and N <= 2 at lengths that no other census test reaches
         assert verify_power_expansion(n, n_gens).ok
 
+    @pytest.mark.parametrize("n, n_gens", [(9, 3), (7, 4)])
+    def test_sizes_with_millions_of_classes(self, n, n_gens):
+        # 2,034,510 and 840,704 classes, checked one orbit of signed relabelings at a time
+        report = verify_power_expansion(n, n_gens)
+        assert report.ok and report.total == (2 * n_gens) ** n
+
+    def test_nine_three_peak_memory(self):
+        # ru_maxrss is in KiB on Linux; spelling every class took about 0.9 GB here
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
+        code = (
+            "import resource; from freecycle import verify_power_expansion as v; "
+            "assert v(9, 3).ok; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+        assert int(proc.stdout) < 150 * 1024
+
+    def test_classes_are_not_spelled(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a class was spelled")
+
+        monkeypatch.setattr(counting, "_spell", refuse)
+        assert verify_power_expansion(6, 3).ok
+
     def test_report_shape(self):
         report = verify_power_expansion(5, 1)
         data = report.to_json()
@@ -274,6 +308,47 @@ class TestVerifyPowerExpansion:
         assert len(report.violations) == 3
         for key, line in zip(["a", "aa", "aaa"], report.violations):
             assert f"class {key!r} " in line
+
+
+SPELLED_SIZES = sorted(
+    {(n, 1) for n in range(1, 13)}  # criterion 4
+    | {(n, 2) for n in range(1, 9)}  # criteria 4, 5 and 7
+    | {(5, 3), (4, 4), (18, 1), (10, 2), (7, 3), (6, 4)}
+)
+
+
+def _edited_orbits(n: int, n_gens: int):
+    """The census's orbits with one edit each: a class of length n dropped or
+    miscounted, the empty class dropped at even n, and classes added that are not cyclically
+    reduced, of the wrong parity, or longer than n."""
+    orbits = dict(census(n, n_gens).orbits)
+    longest = max(orbits, key=len)
+    yield {key: c for key, c in orbits.items() if key != longest}
+    yield {**orbits, longest: orbits[longest] + 1}
+    if n % 2 == 0:
+        yield {key: c for key, c in orbits.items() if key}
+    yield {**orbits, (1, -1): 3}
+    yield {**orbits, (1,) * (1 + n % 2): 1}
+    yield {**orbits, (1,) * (n + 2): 1}
+
+
+class TestOrbitFormAgainstSpelledOracle:
+    """verify_power_expansion checks one canonical class per orbit; the oracle checks
+    every spelled class against every cyclically reduced word listed."""
+
+    @pytest.mark.parametrize("n, n_gens", SPELLED_SIZES)
+    def test_report_equals_spelled_report(self, n, n_gens):
+        report = verify_power_expansion(n, n_gens)
+        assert (list(report.violations), report.total) == spelled_power_report(census(n, n_gens))
+
+    @pytest.mark.parametrize("n, n_gens", [(3, 1), (4, 2), (5, 2), (5, 3), (4, 4), (2, 27)])
+    def test_edited_census_reports_equal(self, monkeypatch, n, n_gens):
+        for orbits in _edited_orbits(n, n_gens):
+            tally = Census(n_gens, n, orbits=orbits)
+            monkeypatch.setattr(counting, "census", lambda *a, **kw: tally)
+            report = verify_power_expansion(n, n_gens)
+            assert not report.ok
+            assert (list(report.violations), report.total) == spelled_power_report(tally)
 
 
 class TestMomentTable:

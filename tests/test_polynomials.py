@@ -2,7 +2,9 @@ import pytest
 
 from freecycle import (
     BudgetExceededError,
+    Census,
     IntPolynomial,
+    census,
     counting,
     fluctuation_poly,
     fluctuation_poly_recurrence,
@@ -11,6 +13,8 @@ from freecycle import (
     verify_poly_expansion,
 )
 from freecycle.polynomials import poly_to_json
+
+from oracles import spelled_poly_report
 
 
 class TestIntPolynomial:
@@ -170,3 +174,34 @@ class TestExpansionChecks:
         data = verify_poly_expansion(3, 2).to_json()
         assert data["ok"] is True
         assert data["triangle_exact"] is True
+
+
+class TestOrbitFormAgainstSpelledOracle:
+    """verify_poly_expansion expands over one canonical class per orbit; the oracle
+    expands over every spelled class and lists every cyclically reduced word."""
+
+    @staticmethod
+    def _fields(report):
+        return report.triangle_exact, report.recurrence_residual, list(report.violations)
+
+    @pytest.mark.parametrize("n, n_gens", [(n, g) for g in (1, 2) for n in range(1, 9)])
+    def test_report_equals_spelled_report(self, n, n_gens):
+        censuses = {j: census(j, n_gens) for j in range(n % 2, n + 1, 2)}
+        want = spelled_poly_report(n, n_gens, censuses)
+        assert self._fields(verify_poly_expansion(n, n_gens)) == want
+
+    @pytest.mark.parametrize("degree", [4, 6])
+    @pytest.mark.parametrize("edit", ["drop", "miscount"])
+    def test_edited_census_reports_equal(self, monkeypatch, degree, edit):
+        censuses = {j: census(j, 2) for j in range(0, 7, 2)}
+        orbits = dict(censuses[degree].orbits)
+        longest = max(orbits, key=len)
+        if edit == "drop":
+            del orbits[longest]
+        else:
+            orbits[longest] += 1
+        censuses[degree] = Census(2, degree, orbits=orbits)
+        monkeypatch.setattr(polynomials, "census", lambda j, n_gens, **kw: censuses[j])
+        report = verify_poly_expansion(6, 2)
+        assert not report.ok
+        assert self._fields(report) == spelled_poly_report(6, 2, censuses)
