@@ -113,6 +113,9 @@ class Census:
         2^m N!/(N-m)! classes of its orbit, m its generators, or each text key alone."""
         n_gens = self.alphabet_size
         if self.orbits is None:
+            for key in self.counts:  # two spellings of one word would pass for two classes
+                if word_to_text(parse_word(key, n_gens)) != key:
+                    raise ValueError(f"census key {key!r} is not how its word is spelled")
             return [(parse_word(key, n_gens).letters, 1, c) for key, c in self.counts.items()]
         return [(key, 2 ** max(key, default=0) * math.perm(n_gens, max(key, default=0)), c)
                 for key, c in self.orbits.items()]

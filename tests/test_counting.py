@@ -351,6 +351,14 @@ class TestOrbitFormAgainstSpelledOracle:
             assert (list(report.violations), report.total) == spelled_power_report(tally)
 
 
+    def test_text_keys_spelled_otherwise_refused(self, monkeypatch):
+        # "[1]" is the word "a" spelled as JSON: as a key it would stand in for "a"
+        tally = Census(2, 1, {"[1]": 1, "A": 1, "b": 1, "B": 1})
+        monkeypatch.setattr(counting, "census", lambda *a, **kw: tally)
+        with pytest.raises(ValueError, match="census key '\\[1\\]' is not how its word is spelled"):
+            verify_power_expansion(1, 2)
+
+
 class TestMomentTable:
     """The class-size triangle: reduction_class_size for k >= 1, kesten_moment for k = 0."""
 
