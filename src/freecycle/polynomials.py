@@ -25,6 +25,8 @@ from .counting import (
 )
 
 R1Choice = Literal["x", "one"]
+# fluctuation_poly(1000, N) took 0.33 s at N = 2 and 1.1 s at N = 1000 (2.3 and 13 s at 2000)
+MAX_POLY_DEGREE = 1000
 
 
 class IntPolynomial:
@@ -148,12 +150,18 @@ def modified_chebyshev(k: int, alphabet_size: int, r1: R1Choice = "x") -> IntPol
     return cur
 
 
+def _check_degree(n: int) -> None:
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n > MAX_POLY_DEGREE:
+        raise ValueError(f"degree {n} exceeds the limit of {MAX_POLY_DEGREE}")
+
+
 def fluctuation_poly_recurrence(
     n: int, alphabet_size: int, r1: R1Choice = "x"
 ) -> IntPolynomial:
     """Recurrence form of the diagonalizing polynomial: R_n, plus 2 for even n."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_degree(n)
     r = modified_chebyshev(n, alphabet_size, r1)
     return r + 2 if n % 2 == 0 else r
 
@@ -170,8 +178,7 @@ def fluctuation_poly(n: int, alphabet_size: int) -> IntPolynomial:
     >>> print(fluctuation_poly(4, 2))
     x^4 - 12x^2 + 20
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_degree(n)
     if alphabet_size < 1:
         raise ValueError("need alphabet_size >= 1")
     # The Q_k term of the reduced expansion of sum c_j x^j is sum_{j >= k} c_j s(j, k) with

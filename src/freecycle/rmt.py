@@ -20,6 +20,7 @@ bit only at a fixed BLAS thread count: changing it can move the last digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,10 @@ class SimConfig:
             raise ValueError("need trials >= 2")
         if self.max_power < 1:
             raise ValueError("need max_power >= 1")
+        # m (2N)^P bounds |Tr X^P| and the Kesten moment, which the report reads as floats
+        log_bound = math.log(self.matrix_size) + self.max_power * math.log(2 * self.alphabet_size)
+        if log_bound > math.log(sys.float_info.max):
+            raise ValueError("need matrix_size * (2 * alphabet_size) ** max_power in float range")
         if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise ValueError("need a finite z_threshold > 0")
 

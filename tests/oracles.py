@@ -2,12 +2,13 @@
 
 Everything here deliberately uses a different algorithm from the code under
 test: reduction by repeated literal rewriting instead of a stack, crossing
-detection straight from the four-point definition, covers from explicit
-interval lists, the pairing built by scanning the infinitely repeated
-word instead of rotating to a good offset, Kesten moments from a walk on
-reduced lengths instead of a sum of ballot numbers, the x^n and P_n checks
-over every spelled class instead of one class per orbit, and Monte Carlo
-traces from an all-Haar construction and eigenvalues.
+detection straight from the four-point definition (block against block for
+long pairings), covers from explicit interval lists, the pairing built by
+scanning the infinitely repeated word instead of rotating to a good offset,
+Kesten moments from a walk on reduced lengths instead of a sum of ballot
+numbers, the x^n and P_n checks over every spelled class instead of one class
+per orbit, and Monte Carlo traces from an all-Haar construction and
+eigenvalues.
 """
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def naive_is_noncrossing(blocks: list[tuple[int, ...]]) -> bool:
         ):
             return False
     return True
+
+
+def interval_is_half_pairing(p: HalfPairing) -> bool:
+    """The half-pairing rules checked block against block with array comparisons.
+
+    The blocks must partition 1..n with at least one singleton; no two chords
+    (a, b) and (c, d) may satisfy the four-point crossing a < c < b < d; and no
+    chord may hold some singletons strictly inside it and others outside, which
+    is the four-point crossing with the merged singleton block.  Quadratic in
+    the chords, for pairings too long for ``naive_is_noncrossing``.
+    """
+    import numpy as np
+
+    ends = sorted(x for pair in p.pairs for x in pair)
+    if not p.singletons or sorted(ends + list(p.singletons)) != list(range(1, p.n + 1)):
+        return False
+    chords = np.array(sorted(p.pairs), dtype=int).reshape(-1, 2)
+    a, b = chords.min(axis=1), chords.max(axis=1)
+    crossing = (a[:, None] < a) & (a < b[:, None]) & (b[:, None] < b)
+    singles = np.array(sorted(p.singletons))
+    inside = np.searchsorted(singles, b) - np.searchsorted(singles, a)
+    return not crossing.any() and bool(np.all((inside == 0) | (inside == len(singles))))
 
 
 def pair_singleton_partitions(n: int) -> list[list[tuple[int, ...]]]:

@@ -190,6 +190,12 @@ def test_poly_alphabet_below_one_rejected(capsys, basis):
         assert (code, out, err) == (2, "", "error: need alphabet_size >= 1\n")
 
 
+@pytest.mark.parametrize("basis", ["triangle", "recurrence"])
+def test_poly_degree_over_the_limit_rejected(capsys, basis):
+    code, out, err = run(capsys, "poly", "--len", "6000", "--gens", "2", "--basis", basis)
+    assert (code, out, err) == (2, "", "error: degree 6000 exceeds the limit of 1000\n")
+
+
 def test_verify_poly(capsys):
     code, out, _ = run(capsys, "verify-poly", "--len", "2", "--gens", "1")
     lines = out.splitlines()
@@ -254,6 +260,24 @@ def test_rmt_too_few_trials_leave_csv_unchanged(capsys, tmp_path):
         "--k-max", "0",
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("power", ["2000", "100000"])
+def test_rmt_power_beyond_float_range_refused_before_sampling(capsys, monkeypatch, tmp_path, power):
+    import freecycle.rmt
+
+    def refuse(cfg):
+        raise AssertionError("sampled a power whose traces overflow a float")
+
+    monkeypatch.setattr(freecycle.rmt, "sample_traces", refuse)
+    path = tmp_path / "old.csv"
+    path.write_text("kept\n")
+    code, out, err = run(
+        capsys, "rmt", "--gens", "2", "--size", "20", "--trials", "3", "--max-power", power,
+        "--k-max", "0", "--seed", "1", "--csv", str(path),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: need") and err.count("\n") == 1
+    assert "float range" in err and path.read_text() == "kept\n"
 
 
 def test_rmt_seed_echoed_when_drawn(capsys):

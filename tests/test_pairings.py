@@ -1,7 +1,7 @@
 import gc
 import random
 import weakref
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +34,9 @@ from freecycle import pairings
 
 from oracles import (
     brute_force_half_pairings,
+    interval_is_half_pairing,
     naive_cover_relation,
+    naive_is_noncrossing,
     naive_is_word_pairing,
     scan_half_pairing,
 )
@@ -76,10 +78,15 @@ class TestHalfPairingValidity:
     def test_crossing_pairs_rejected(self):
         with pytest.raises(ValueError, match="cross"):
             HalfPairing(5, frozenset({(1, 3), (2, 4)}), frozenset({5}))
+        with pytest.raises(ValueError, match="cross"):
+            half_pairing_from_json({"n": 5, "pairs": [[1, 3], [2, 4]], "singletons": [5]})
+        assert not is_half_pairing(5, [(1, 3), (2, 4), (5,)])
 
     def test_separating_pair_rejected(self):
         with pytest.raises(ValueError, match="separates"):
             HalfPairing(4, frozenset({(1, 3)}), frozenset({2, 4}))
+        with pytest.raises(ValueError, match="separates"):
+            half_pairing_from_json({"n": 4, "pairs": [[1, 3]], "singletons": [2, 4]})
 
     def test_matches_brute_force_filter(self):
         from oracles import pair_singleton_partitions
@@ -334,6 +341,80 @@ class TestDotDiagrams:
         p = from_dots(DotDiagram("WWWB"))
         assert p.pairs == frozenset({(1, 4)})
         assert p.singletons == frozenset({2, 3})
+
+
+def assert_valid_as_built(p: HalfPairing, naive: bool = False) -> None:
+    """The checks that building a pairing skips, made afterwards: the library's own
+    pass and an independent oracle, and equality with the validated pairing."""
+    assert pairings._invalid_reason(p.n, p.pairs, p.singletons) is None
+    assert interval_is_half_pairing(p)
+    if naive:
+        assert naive_is_noncrossing([*p.pairs, *((s,) for s in p.singletons)])
+        assert naive_is_noncrossing([*p.pairs, tuple(p.singletons)])
+    assert all(a < b for a, b in p.pairs)
+    q = HalfPairing(p.n, p.pairs, p.singletons)
+    assert q == p and hash(q) == hash(p)
+
+
+@st.composite
+def long_words(draw):
+    """Words of 200 to 2,000 letters: random, cancelling u c u^-1 with a short
+    cyclically reduced core c, rotated, or a^m A^(m+1)."""
+    n = draw(st.integers(200, 2000))
+    kind = draw(st.sampled_from(("random", "cancelling", "adversarial")))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if kind == "adversarial":
+        m = (n - 1) // 2
+        return Word(1, (1,) * m + (-1,) * (m + 1))
+    gens = rng.randint(1, 3)
+    alphabet = [s * g for g in range(1, gens + 1) for s in (1, -1)]
+    if kind == "random":
+        return Word(gens, tuple(rng.choice(alphabet) for _ in range(n)))
+    core = [rng.choice(alphabet)]
+    for _ in range(rng.randrange(6)):
+        core.append(rng.choice([l for l in alphabet if l != -core[-1]]))
+    if len(core) > 1 and core[0] == -core[-1]:
+        core.pop()
+    u = [rng.choice(alphabet) for _ in range((n - len(core)) // 2)]
+    letters = u + core + [-l for l in reversed(u)]
+    r = rng.randrange(len(letters))
+    return Word(gens, tuple(letters[r:] + letters[:r]))
+
+
+class TestBuiltPairings:
+    """Pairings that ``admissible_half_pairing`` and ``from_dots`` build skip validation."""
+
+    def test_from_dots_every_diagram(self):
+        for n in range(1, 15):
+            for blacks in range((n + 1) // 2):
+                for chosen in combinations(range(n), blacks):
+                    colors = "".join("B" if i in chosen else "W" for i in range(n))
+                    assert_valid_as_built(from_dots(DotDiagram(colors)), naive=n <= 8)
+
+    def test_every_good_rotation_of_short_words(self):
+        checked = {}
+        for n in range(1, 9):
+            for letters in product((1, -1, 2, -2), repeat=n):
+                w = Word(2, letters)
+                for r in good_rotations(w):
+                    p = admissible_half_pairing(w, r)
+                    key = (p.n, p.pairs, p.singletons)
+                    if key not in checked:
+                        assert_valid_as_built(p, naive=True)
+                        checked[key] = p
+                    assert p == checked[key] and hash(p) == hash(checked[key])
+        # every half-pairing on up to 8 points is some such word's
+        sizes = [(n, k) for n in range(1, 9) for k in range(n % 2 or 2, n + 1, 2)]
+        assert len(checked) == sum(len(enumerate_half_pairings(n, k)) for n, k in sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_words(), st.randoms(use_true_random=False))
+    def test_long_words(self, w, rng):
+        rotations = good_rotations(w)
+        p = admissible_half_pairing(w)
+        assert_valid_as_built(p)
+        assert admissible_half_pairing(w, rng.choice(rotations)) == p
+        assert_valid_as_built(from_dots(to_dots(p)))
 
 
 class TestEnumeration:

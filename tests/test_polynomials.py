@@ -97,6 +97,21 @@ class TestFluctuationPoly:
         with pytest.raises(ValueError):
             fluctuation_poly_recurrence(0, 2)
 
+    def test_degree_limit(self, monkeypatch):
+        limit = polynomials.MAX_POLY_DEGREE
+        assert fluctuation_poly(limit, 2).degree == limit
+        assert fluctuation_poly_recurrence(limit, 2).degree == limit
+
+        def refuse(*args):
+            raise AssertionError("computed past the degree limit")
+
+        monkeypatch.setattr(polynomials, "kesten_moment", refuse)
+        monkeypatch.setattr(polynomials, "modified_chebyshev", refuse)
+        for n in (limit + 1, limit + 2, 6000):
+            for f in (fluctuation_poly, fluctuation_poly_recurrence):
+                with pytest.raises(ValueError, match=f"degree {n} exceeds the limit of {limit}"):
+                    f(n, 2)
+
     @pytest.mark.parametrize("n_gens", [0, -3])
     def test_alphabet_below_one_rejected(self, n_gens):
         for n in (1, 2, 4):

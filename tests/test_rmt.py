@@ -105,6 +105,13 @@ class TestSampleTraces:
             with pytest.raises(ValueError):
                 _config(**bad)
 
+    def test_power_traces_within_float_range(self):
+        # log 20 + P log 4 passes log(float max), about 709.78, between P = 509 and 510
+        assert _config(matrix_size=20, max_power=509).max_power == 509
+        for max_power in (510, 2000, 100000):
+            with pytest.raises(ValueError, match="float range"):
+                _config(matrix_size=20, max_power=max_power)
+
     @pytest.mark.parametrize("z_threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_z_threshold_must_be_finite_and_positive(self, z_threshold):
         with pytest.raises(ValueError):
