@@ -201,6 +201,8 @@ def cmd_rmt(args) -> Output:
         raise ValueError("need 0 <= --k-max <= --max-power (0 disables the diagonalization check)")
     if k_max > 0 and cfg.trials < 3:
         raise ValueError("need --trials >= 3 for a jackknife standard error, or --k-max 0")
+    if k_max > 0:
+        rmt._check_k_max(cfg, k_max)
     # An unwritable --csv fails here, before any trial is sampled.
     with open(args.csv, "w", newline="") if args.csv else contextlib.nullcontext() as csv_file:
         samples = rmt.sample_traces(cfg)

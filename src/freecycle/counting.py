@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations, product
+from operator import add
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .words import _ALPHABET, Word, _good_rotations, parse_word, word_to_text
 
@@ -102,6 +103,10 @@ class Census:
     text_counts: Mapping[str, int] | None = None
     orbits: Mapping[tuple[int, ...], int] | None = None
 
+    def __post_init__(self) -> None:
+        if (self.text_counts is None) == (self.orbits is None):
+            raise ValueError("a census holds exactly one of text_counts and orbits")
+
     @cached_property
     def counts(self) -> Mapping[str, int]:
         if self.orbits is None:
@@ -117,7 +122,7 @@ class Census:
                 if word_to_text(parse_word(key, n_gens)) != key:
                     raise ValueError(f"census key {key!r} is not how its word is spelled")
             return [(parse_word(key, n_gens).letters, 1, c) for key, c in self.counts.items()]
-        return [(key, 2 ** max(key, default=0) * math.perm(n_gens, max(key, default=0)), c)
+        return [(key, _relabelings(max(key, default=0), n_gens), c)
                 for key, c in self.orbits.items()]
 
     @property
@@ -249,14 +254,19 @@ def _orbits(tally: _Tally, alphabet_size: int) -> dict[tuple[int, ...], int]:
     A canonical word on j generators stands for its 2^j N!/(N-j)! signed
     relabelings.  Each reduction is relabeled to its own canonical form on m
     generators, whose 2^m N!/(N-m)! relabelings are distinct classes with one
-    count.
+    count: each takes the relabelings of the other j - m generators.
     """
     orbits: dict[tuple[int, ...], int] = {}
     for (key, j), count in tally.items():
         key, m = _relabel_by_first_use(key)
-        weight = 2 ** (j - m) * math.perm(alphabet_size - m, j - m)
+        weight = _relabelings(j - m, alphabet_size - m)
         orbits[key] = orbits.get(key, 0) + count * weight
     return orbits
+
+
+def _relabelings(m: int, alphabet_size: int) -> int:
+    """2^m N!/(N-m)!: the signed relabelings of a word on m generators."""
+    return 2**m * math.perm(alphabet_size, m)
 
 
 def _spell(orbits: Mapping[tuple[int, ...], int], alphabet_size: int) -> dict[str, int]:
@@ -327,14 +337,6 @@ def census(
     return Census(alphabet_size, n, orbits=MappingProxyType(orbits))
 
 
-def _violations(label: str, rows: Iterable[tuple[str, int, int]]) -> list[str]:
-    """One line per (class, counted, predicted) row, in the order of the class texts."""
-    return [
-        f"{label}: class {key!r} counted {got}, predicted {want}"
-        for key, got, want in sorted(rows)
-    ]
-
-
 @dataclass(frozen=True)
 class ExpansionReport:
     """Result of checking the census against the predicted class sizes."""
@@ -366,32 +368,44 @@ def verify_power_expansion(
     the counts must add up to (2N)^n.
 
     The check runs over ``Census.entries``, one per orbit of signed
-    relabelings or per key of text counts.  Each count must be predicted, each
-    class cyclically reduced, and the classes of each length k must number
-    (2N-1)^k + 1 + (N-1)(1+(-1)^k), as distinct canonical classes have disjoint
-    orbits.  A violation spells only the offending orbit, or lists the words of
-    a length whose classes fall short.
+    relabelings or per key of text counts (see ``_check``).
     """
     tally = census(n, alphabet_size, budget=budget)
     predicted = [kesten_moment(n, alphabet_size)]
     predicted += [reduction_class_size(n, k, alphabet_size) for k in range(1, n + 1)]
-    found = [0] * (n + 1)  # cyclically reduced classes of each length
-    rows = []
-    for letters, size, count in tally.entries():
-        k = len(letters)
-        reduced = k <= n and all(a != -b for a, b in zip(letters, letters[1:] + letters[:1]))
-        if reduced:
-            found[k] += size
-        want = predicted[k] if reduced else 0
-        if count != want:  # the first `size` texts: the orbit, or a text key itself
-            rows += [(t, count, want) for t in [*_spell({letters: count}, alphabet_size)][:size]]
-    q = 2 * alphabet_size - 1
-    for k in range(n % 2, n + 1, 2):
-        if found[k] < (q**k + 1 + (alphabet_size - 1) * (1 + (-1) ** k) if k else 1):
-            texts = map(word_to_text, cyclically_reduced_words(k, alphabet_size))
-            rows += [(t, 0, predicted[k]) for t in texts if t not in tally.counts]
-    violations = _violations("census", rows)
+    violations = _check("census", tally, predicted)
     total = tally.total
     if total != (2 * alphabet_size) ** n:
         violations.append(f"census total {total} != {(2 * alphabet_size) ** n}")
     return ExpansionReport(n, alphabet_size, not violations, total, tuple(violations))
+
+
+def _check(label: str, tally: Census, predicted: list[int]) -> list[str]:
+    """Violations of tally = sum of predicted[k] Q_k over k <= n = len(predicted) - 1,
+    Q_k the sum of the cyclically reduced classes of length k: one line per class.
+
+    Each class must be cyclically reduced with count predicted[k], and the
+    classes of each length k with predicted[k] != 0 must number
+    (2N-1)^k + 1 + (N-1)(1+(-1)^k), as distinct canonical classes have
+    disjoint orbits.  A violation spells only the offending orbit, or lists
+    the words of a length whose classes fall short, in the order of the texts.
+    """
+    n, n_gens = len(predicted) - 1, tally.alphabet_size
+    found = [0] * (n + 1)  # cyclically reduced classes of each length
+    rows = []
+    for letters, size, count in tally.entries():
+        k = len(letters)
+        reduced = k <= n and all(map(add, letters, letters[1:] + letters[:1]))  # a != -b
+        if reduced:
+            found[k] += size
+        want = predicted[k] if reduced else 0
+        if count != want:  # the first `size` texts: the orbit, or a text key itself
+            rows += [(t, count, want) for t in [*_spell({letters: count}, n_gens)][:size]]
+    q = 2 * n_gens - 1
+    for k, want in enumerate(predicted):
+        if want and found[k] < (q**k + 1 + (n_gens - 1) * (1 + (-1) ** k) if k else 1):
+            texts = map(word_to_text, cyclically_reduced_words(k, n_gens))
+            rows += [(t, 0, want) for t in texts if t not in tally.counts]
+    return [
+        f"{label}: class {t!r} counted {got}, predicted {want}" for t, got, want in sorted(rows)
+    ]

@@ -15,14 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Mapping
 
-from .counting import (
-    DEFAULT_BUDGET,
-    _census_words,
-    _spell,
-    _violations,
-    census,
-    kesten_moment,
-)
+from .counting import DEFAULT_BUDGET, Census, _census_words, _check, census, kesten_moment
 
 R1Choice = Literal["x", "one"]
 # fluctuation_poly(1000, N) took 0.33 s at N = 2 and 1.1 s at N = 1000 (2.3 and 13 s at 2000)
@@ -241,20 +234,6 @@ def _reduced_expansion(
     return {key: v for key, v in acc.items() if v}
 
 
-def _canonical_cyclically_reduced(n: int, alphabet_size: int) -> list[tuple[int, ...]]:
-    """The cyclically reduced words of length n >= 1 that use their generators in the order
-    1, 2, ... of first use, each first use positive: one per orbit of signed relabelings."""
-    words = [(1,)]
-    for _ in range(n - 1):
-        words = [
-            w + (l,)
-            for w in words
-            for l in range(-max(w), min(max(w) + 1, alphabet_size) + 1)
-            if l and l != -w[-1]
-        ]
-    return [w for w in words if w[-1] != -w[0]]
-
-
 def verify_poly_expansion(
     n: int, alphabet_size: int, *, budget: int = DEFAULT_BUDGET
 ) -> PolyExpansionReport:
@@ -262,28 +241,23 @@ def verify_poly_expansion(
 
     Both polynomials have the parity of n, so each census of those degrees is
     computed once and shared by the two expansions.  The expansions run over
-    canonical classes, one per orbit of signed relabelings, and are compared
-    with the canonical cyclically reduced words of length n, which are made
-    here without the census.  A violation spells the offending orbit.
+    canonical classes, one per orbit of signed relabelings, and go through the
+    check of ``verify_power_expansion`` with Q_n as the prediction: every class
+    of length n counted once, and every other class 0.
     """
     degrees = range(n % 2, n + 1, 2)
     for j in degrees:  # refuse before enumerating anything
         _census_words(j, alphabet_size, budget)
     censuses = {j: census(j, alphabet_size, budget=budget).orbits for j in degrees}
-    target = dict.fromkeys(_canonical_cyclically_reduced(n, alphabet_size), 1)
+    target = [0] * n + [1]
 
     triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)
-    violations = _violations("triangle", [
-        (text, triangle.get(key, 0), target.get(key, 0))
-        for key in triangle.keys() | target.keys()
-        if triangle.get(key, 0) != target.get(key, 0)
-        for text in _spell({key: 0}, alphabet_size)
-    ])
+    violations = _check("triangle", Census(alphabet_size, n, orbits=triangle), target)
     triangle_exact = not violations
 
     rec = _reduced_expansion(fluctuation_poly_recurrence(n, alphabet_size, "x"), censuses)
     residual: int | None = rec.pop((), 0)
-    if rec != target:
+    if _check("recurrence", Census(alphabet_size, n, orbits=rec), target):
         residual = None
         violations.append("recurrence: expansion differs from Q_n by more than a constant")
     return PolyExpansionReport(n, alphabet_size, triangle_exact, residual, tuple(violations))

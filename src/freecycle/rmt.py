@@ -48,10 +48,12 @@ class SimConfig:
             raise ValueError("need trials >= 2")
         if self.max_power < 1:
             raise ValueError("need max_power >= 1")
-        # m (2N)^P bounds |Tr X^P| and the Kesten moment, which the report reads as floats
-        log_bound = math.log(self.matrix_size) + self.max_power * math.log(2 * self.alphabet_size)
-        if log_bound > math.log(sys.float_info.max):
-            raise ValueError("need matrix_size * (2 * alphabet_size) ** max_power in float range")
+        # |X| <= 2N: m (2N)^P bounds |Tr X^P|, (2N)^P the Kesten moment and Tr X^P / m, whose
+        # standard error sums the squares of trials deviations of at most 2 (2N)^P
+        log_power = self.max_power * math.log(2 * self.alphabet_size)
+        log_worst = max(math.log(self.matrix_size), math.log(4 * self.trials) + log_power)
+        if log_worst + log_power > math.log(sys.float_info.max):
+            raise ValueError("need m (2N)^max_power and 4 trials (2N)^(2 max_power) in float range")
         if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise ValueError("need a finite z_threshold > 0")
 
@@ -231,23 +233,17 @@ class DiagonalizationReport:
     monomial_se: tuple[tuple[float, ...], ...]
     monomial_z: tuple[tuple[float, ...], ...]
 
+    @staticmethod
+    def _offdiag(z: tuple[tuple[float, ...], ...]) -> list[float]:
+        return [abs(v) for i, row in enumerate(z) for j, v in enumerate(row) if i != j]
+
     @property
     def basis_offdiag_ok(self) -> bool:
-        return all(
-            abs(self.basis_z[i][j]) <= self.z_threshold
-            for i in range(self.k_max)
-            for j in range(self.k_max)
-            if i != j
-        )
+        return all(v <= self.z_threshold for v in self._offdiag(self.basis_z))
 
     @property
     def monomial_has_large_offdiag(self) -> bool:
-        return any(
-            abs(self.monomial_z[i][j]) > self.z_threshold
-            for i in range(self.k_max)
-            for j in range(self.k_max)
-            if i != j
-        )
+        return any(v > self.z_threshold for v in self._offdiag(self.monomial_z))
 
     def to_json(self) -> dict:
         return {
@@ -269,27 +265,39 @@ class DiagonalizationReport:
         }
 
 
+def _check_k_max(cfg: SimConfig, k_max: int) -> None:
+    """Refuses a k_max outside 1..max_power, or one whose covariances' squares could
+    leave float range.
+
+    P_k = fluctuation_poly(k) is R_k = modified_chebyshev(k) plus a constant.  As
+    R_k(ix) = i^k S_k(x) with S_(j+1) = x S_j + (2N-1) S_(j-1), S_0 = 2 and S_1 = x, R_k's
+    |coefficients| times (2N)^j sum to S_k(2N) <= 2 t^k, t = N + sqrt(N^2 + 2N - 1) >= 2N.
+    An even P_k's constant sums its other coefficients times Kesten moments <= (2N)^j.
+    So, as |X| <= 2N, B = 4 m t^k bounds |Tr P_k(X)| and |Tr X^k|, and the jackknife
+    sums trials squares of deviations of at most 12 B^2.
+    """
+    if not 1 <= k_max <= cfg.max_power:
+        raise ValueError(f"k_max {k_max} outside 1..{cfg.max_power}")
+    n_gens = cfg.alphabet_size
+    log_t = math.log(n_gens + math.sqrt(n_gens**2 + 2 * n_gens - 1))
+    room = math.log(sys.float_info.max / (144 * cfg.trials)) / 4 - math.log(4 * cfg.matrix_size)
+    if k_max * log_t > room:
+        raise ValueError(
+            f"need k_max <= {math.floor(room / log_t)} for the covariances' squares in float range"
+        )
+
+
 def _cov_matrices(samples: TraceSamples, polys: list[IntPolynomial]):
     vals = [samples.poly_traces(p) for p in polys]
-    k = len(polys)
-    cov = [[0.0] * k for _ in range(k)]
-    se = [[0.0] * k for _ in range(k)]
-    z = [[0.0] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            c, s = _jackknife_cov(vals[i], vals[j])
-            cov[i][j] = cov[j][i] = c
-            se[i][j] = se[j][i] = s
-            z[i][j] = z[j][i] = _zscore(c, s)
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return freeze(cov), freeze(se), freeze(z)
+    cells = [[_jackknife_cov(a, b) for b in vals] for a in vals]  # (a, b) and (b, a) agree
+    table = lambda f: tuple(tuple(f(*cell) for cell in row) for row in cells)
+    return table(lambda c, s: c), table(lambda c, s: s), table(_zscore)
 
 
 def diagonalization_from_samples(samples: TraceSamples, k_max: int) -> DiagonalizationReport:
     """Covariance/z matrices for the diagonalizing family and for monomials."""
     cfg = samples.config
-    if not 1 <= k_max <= cfg.max_power:
-        raise ValueError(f"k_max {k_max} outside 1..{cfg.max_power}")
+    _check_k_max(cfg, k_max)
     polys = [fluctuation_poly(k, cfg.alphabet_size) for k in range(1, k_max + 1)]
     monos = [IntPolynomial.monomial(k) for k in range(1, k_max + 1)]
     bc, bs, bz = _cov_matrices(samples, polys)

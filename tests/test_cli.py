@@ -280,6 +280,29 @@ def test_rmt_power_beyond_float_range_refused_before_sampling(capsys, monkeypatc
     assert "float range" in err and path.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "power, k_max, message",
+    [("509", "0", "need m (2N)^max_power"), ("250", "250", "need k_max <= 111"),
+     ("150", "150", "need k_max <= 111")],
+)
+def test_rmt_squares_beyond_float_range_refused_before_sampling(
+    capsys, monkeypatch, power, k_max, message
+):
+    # each of these ran and passed its checks on standard errors and z scores of inf or nan
+    import freecycle.rmt
+
+    def refuse(cfg):
+        raise AssertionError("sampled traces whose squares overflow a float")
+
+    monkeypatch.setattr(freecycle.rmt, "sample_traces", refuse)
+    code, out, err = run(
+        capsys, "rmt", "--gens", "2", "--size", "20", "--trials", "3", "--max-power", power,
+        "--k-max", k_max, "--seed", "1",
+    )
+    assert (code, out) == (2, "") and err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and "float range" in err
+
+
 def test_rmt_seed_echoed_when_drawn(capsys):
     code, out, _ = run(
         capsys, "rmt", "--gens", "1", "--size", "8", "--trials", "10",

@@ -147,6 +147,12 @@ class TestCensus:
         assert calls == [(3, 2)] * 2
         assert dict(first.counts) == dict(second.counts)
 
+    def test_holds_exactly_one_of_text_counts_and_orbits(self):
+        # with neither, total raised TypeError; with both, the text counts were dropped
+        for args in ((2, 3), (2, 1, {"a": 5}, {(1,): 1})):
+            with pytest.raises(ValueError, match="exactly one of text_counts and orbits"):
+                Census(*args)
+
     def test_empty_length(self):
         for n_gens in (2, 27):
             assert dict(census(0, n_gens).counts) == {"": 1}

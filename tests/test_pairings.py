@@ -411,10 +411,22 @@ class TestBuiltPairings:
     @given(long_words(), st.randoms(use_true_random=False))
     def test_long_words(self, w, rng):
         rotations = good_rotations(w)
+        if not rotations:  # a "random" word on one generator can reduce to the identity
+            with pytest.raises(ValueError, match="word reduces to the identity"):
+                admissible_half_pairing(w)
+            return
         p = admissible_half_pairing(w)
         assert_valid_as_built(p)
         assert admissible_half_pairing(w, rng.choice(rotations)) == p
         assert_valid_as_built(from_dots(to_dots(p)))
+
+    def test_long_word_reducing_to_identity_refused(self):
+        letters = [1] * 965 + [-1] * 965
+        random.Random(1930).shuffle(letters)
+        w = Word(1, tuple(letters))
+        assert good_rotations(w) == []
+        with pytest.raises(ValueError, match="word reduces to the identity"):
+            admissible_half_pairing(w)
 
 
 class TestEnumeration:

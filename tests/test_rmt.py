@@ -106,11 +106,19 @@ class TestSampleTraces:
                 _config(**bad)
 
     def test_power_traces_within_float_range(self):
-        # log 20 + P log 4 passes log(float max), about 709.78, between P = 509 and 510
-        assert _config(matrix_size=20, max_power=509).max_power == 509
-        for max_power in (510, 2000, 100000):
+        # log(4 * 100) + 2P log 4 passes log(float max), about 709.78, between P = 253 and 254
+        assert _config(matrix_size=20, max_power=253).max_power == 253
+        for max_power in (254, 509, 510, 2000, 100000):
             with pytest.raises(ValueError, match="float range"):
                 _config(matrix_size=20, max_power=max_power)
+
+    def test_largest_admitted_power_gives_finite_standard_errors(self):
+        # with 3 trials, log 12 + 2P log 4 <= log(float max) up to P = 255
+        samples = sample_traces(_config(matrix_size=20, trials=3, max_power=255))
+        for p in (1, 255):
+            assert all(map(math.isfinite, estimate_moment(samples, p)))
+        with pytest.raises(ValueError, match="float range"):
+            _config(matrix_size=20, trials=3, max_power=256)
 
     @pytest.mark.parametrize("z_threshold", [math.nan, math.inf, 0.0, -1.0])
     def test_z_threshold_must_be_finite_and_positive(self, z_threshold):
@@ -255,6 +263,16 @@ class TestDiagonalizationReport:
             diagonalization_from_samples(samples, 5)
         with pytest.raises(ValueError):
             diagonalization_from_samples(samples, 0)
+
+    def test_k_max_within_float_range(self):
+        # 4 (log(4 * 20) + K log(2 + sqrt 7)) + log(144 * 3) passes log(float max) between
+        # K = 111 and 112
+        samples = sample_traces(_config(matrix_size=20, trials=3, max_power=112))
+        report = diagonalization_from_samples(samples, 111)
+        for matrix in (report.basis_cov, report.basis_se, report.monomial_se, report.monomial_z):
+            assert all(math.isfinite(v) for row in matrix for v in row)
+        with pytest.raises(ValueError, match="need k_max <= 111 .* float range"):
+            diagonalization_from_samples(samples, 112)
 
     def test_json_round_trip_shape(self):
         samples = sample_traces(_config(trials=40, seed=41))
