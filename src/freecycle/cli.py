@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -37,11 +38,6 @@ def _show(w: words.Word) -> str:
 
 def _word_of(args) -> words.Word:
     return words.parse_word(args.word, args.gens)
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, *rows])
 
 
 def cmd_reduce(args) -> Output:
@@ -153,7 +149,8 @@ def cmd_kesten(args) -> Output:
 def cmd_census(args) -> Output:
     tally = counting.census(args.len, args.gens, budget=args.budget)
     if args.csv:
-        _write_csv(args.csv, ["reduction", "length", "count"], tally.csv_rows())
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows([["reduction", "length", "count"], *tally.csv_rows()])
     if args.json:
         return tally.to_json(), "", 0
     items = sorted(tally.counts.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -223,8 +220,7 @@ def cmd_rmt(args) -> Output:
                      for name, cov, se_, z_ in tables for i in range(k_max) for j in range(k_max)]
             csv.writer(csv_file).writerows([["table", "i", "j", "value", "se", "z"], *rows])
 
-    config = {"matrix_size": cfg.matrix_size, "alphabet_size": cfg.alphabet_size,
-              "trials": cfg.trials, "max_power": cfg.max_power, "z_threshold": cfg.z_threshold}
+    config = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "seed"}
     payload = {"seed": seed, "config": config, "moments": moments,
                "diagonalization": report.to_json() if report else None}
     lines = [f"seed={seed}", f"m={cfg.matrix_size} gens={cfg.alphabet_size} trials={cfg.trials}"]

@@ -16,7 +16,7 @@ standard reduction by c.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations, product
 from operator import add
@@ -348,13 +348,7 @@ class ExpansionReport:
     violations: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "alphabet_size": self.alphabet_size,
-            "ok": self.ok,
-            "total": self.total,
-            "violations": list(self.violations),
-        }
+        return {**asdict(self), "violations": list(self.violations)}
 
 
 def verify_power_expansion(

@@ -12,7 +12,7 @@ degrees and is kept only for comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Literal, Mapping
 
 from .counting import DEFAULT_BUDGET, Census, _census_words, _check, census, kesten_moment
@@ -210,14 +210,9 @@ class PolyExpansionReport:
         return self.triangle_exact and self.recurrence_residual is not None
 
     def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "alphabet_size": self.alphabet_size,
-            "triangle_exact": self.triangle_exact,
-            "recurrence_residual": self.recurrence_residual,
-            "ok": self.ok,
-            "violations": list(self.violations),
-        }
+        fields = asdict(self)
+        violations = fields.pop("violations")  # printed after ok, which is not a field
+        return {**fields, "ok": self.ok, "violations": list(violations)}
 
 
 def _reduced_expansion(

@@ -189,11 +189,14 @@ def _jackknife_cov(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     t = len(a)
     if t < 3:
         raise ValueError("need at least 3 trials for a jackknife standard error")
-    sa, sb, sab = a.sum(), b.sum(), (a * b).sum()
-    est = (sab - sa * sb / t) / (t - 1)
-    loo = (sab - a * b - (sa - a) * (sb - b) / (t - 1)) / (t - 2)
-    se = math.sqrt((t - 1) / t * np.sum((loo - loo.mean()) ** 2))
-    return float(est), se
+    with np.errstate(all="ignore"):  # an overflow is refused below, not warned about
+        sa, sb, sab = a.sum(), b.sum(), (a * b).sum()
+        est = float((sab - sa * sb / t) / (t - 1))
+        loo = (sab - a * b - (sa - a) * (sb - b) / (t - 1)) / (t - 2)
+        se = math.sqrt((t - 1) / t * np.sum((loo - loo.mean()) ** 2))
+    if not (math.isfinite(est) and math.isfinite(se)):
+        raise ValueError("the covariance or its standard error leaves float range")
+    return est, se
 
 
 def fluctuation_covariance(
@@ -204,6 +207,7 @@ def fluctuation_covariance(
     Traces are centered at their sample means (the fluctuations carry no 1/m),
     and the standard error is a leave-one-out jackknife.  Adding a constant to
     f or g only shifts a trace by a constant, so the estimate is unchanged.
+    Raises ValueError when the estimate or its standard error is not finite.
     """
     return _jackknife_cov(samples.poly_traces(f), samples.poly_traces(g))
 
@@ -246,22 +250,17 @@ class DiagonalizationReport:
         return any(v > self.z_threshold for v in self._offdiag(self.monomial_z))
 
     def to_json(self) -> dict:
+        def block(prefix: str, flag: str) -> dict:
+            names = {"covariance": "cov", "standard_error": "se", "z": "z"}
+            out = {k: [list(r) for r in getattr(self, f"{prefix}_{a}")] for k, a in names.items()}
+            return out | {flag: getattr(self, f"{prefix}_{flag}")}
+
         return {
             "k_max": self.k_max,
             "z_threshold": self.z_threshold,
             "polynomials": list(self.polynomials),
-            "basis": {
-                "covariance": [list(r) for r in self.basis_cov],
-                "standard_error": [list(r) for r in self.basis_se],
-                "z": [list(r) for r in self.basis_z],
-                "offdiag_ok": self.basis_offdiag_ok,
-            },
-            "monomial": {
-                "covariance": [list(r) for r in self.monomial_cov],
-                "standard_error": [list(r) for r in self.monomial_se],
-                "z": [list(r) for r in self.monomial_z],
-                "has_large_offdiag": self.monomial_has_large_offdiag,
-            },
+            "basis": block("basis", "offdiag_ok"),
+            "monomial": block("monomial", "has_large_offdiag"),
         }
 
 

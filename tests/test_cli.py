@@ -432,6 +432,9 @@ def test_rmt_pinned_lines_and_keys(capsys):
     assert list(data["config"]) == ["matrix_size", "alphabet_size", "trials", "max_power", "z_threshold"]
     assert [list(m) for m in data["moments"]] == [["p", "estimate", "se", "kesten", "z"]] * 3
     assert list(data["diagonalization"]) == ["k_max", "z_threshold", "polynomials", "basis", "monomial"]
+    tables = ["covariance", "standard_error", "z"]
+    assert list(data["diagonalization"]["basis"]) == [*tables, "offdiag_ok"]
+    assert list(data["diagonalization"]["monomial"]) == [*tables, "has_large_offdiag"]
 
 
 def test_import_leaves_numpy_unloaded():

@@ -242,6 +242,14 @@ class TestFluctuationCovariance:
         with pytest.raises(ValueError):
             fluctuation_covariance(samples, IntPolynomial.x(), IntPolynomial.x())
 
+    def test_covariance_out_of_float_range_refused(self):
+        # Tr X^250 is in float range, but the squares in its jackknife are not; pytest turns
+        # numpy's overflow warning into an error, so the refusal must come before numpy warns
+        samples = sample_traces(SimConfig(20, 2, 3, 250, 1))
+        x250 = IntPolynomial.monomial(250)
+        with pytest.raises(ValueError, match="float range"):
+            fluctuation_covariance(samples, x250, x250)
+
 
 class TestDiagonalizationReport:
     def test_structure(self):
