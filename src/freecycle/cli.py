@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 import os
-import secrets
 import sys
 
 from . import counting, pairings, polynomials, words
@@ -187,7 +186,8 @@ def cmd_verify_poly(args) -> Output:
 
 
 def cmd_rmt(args) -> Output:
-    from . import rmt  # numpy loads only for this command
+    import secrets
+    from . import rmt  # numpy and secrets load only for this command
     seed = args.seed if args.seed is not None else secrets.randbits(128)
     cfg = rmt.SimConfig(
         matrix_size=args.size, alphabet_size=args.gens, trials=args.trials,

@@ -13,7 +13,7 @@ degrees and is kept only for comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Literal, Mapping
+from typing import Literal
 
 from .counting import DEFAULT_BUDGET, Census, _census_words, _check, census, kesten_moment
 
@@ -215,44 +215,35 @@ class PolyExpansionReport:
         return {**fields, "ok": self.ok, "violations": list(violations)}
 
 
-def _reduced_expansion(
-    p: IntPolynomial, censuses: Mapping[int, Mapping[tuple[int, ...], int]]
-) -> dict[tuple[int, ...], int]:
-    """Standard cyclic reduction of p(x) by canonical class, read from the census of each
-    degree in p: every class in a canonical class's orbit has the same count."""
-    acc: dict[tuple[int, ...], int] = {}
-    for j, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        for key, count in censuses[j].items():
-            acc[key] = acc.get(key, 0) + c * count
-    return {key: v for key, v in acc.items() if v}
-
-
 def verify_poly_expansion(
     n: int, alphabet_size: int, *, budget: int = DEFAULT_BUDGET
 ) -> PolyExpansionReport:
-    """Expand both polynomial constructions through the census and compare to Q_n.
+    """Expand the triangle polynomial P_n through the census and compare to Q_n.
 
-    Both polynomials have the parity of n, so each census of those degrees is
-    computed once and shared by the two expansions.  The expansions run over
-    canonical classes, one per orbit of signed relabelings, and go through the
-    check of ``verify_power_expansion`` with Q_n as the prediction: every class
-    of length n counted once, and every other class 0.
+    P_n has the parity of n, so only the censuses of those degrees are computed.
+    The expansion runs over canonical classes, one per orbit of signed
+    relabelings, and goes through the check of ``verify_power_expansion`` with
+    Q_n as the prediction: every class of length n counted once, and every
+    other class 0.  The recurrence form R_n enters only as R_n - P_n, which
+    must be a constant.
     """
     degrees = range(n % 2, n + 1, 2)
     for j in degrees:  # refuse before enumerating anything
         _census_words(j, alphabet_size, budget)
     censuses = {j: census(j, alphabet_size, budget=budget).orbits for j in degrees}
-    target = [0] * n + [1]
-
-    triangle = _reduced_expansion(fluctuation_poly(n, alphabet_size), censuses)
-    violations = _check("triangle", Census(alphabet_size, n, orbits=triangle), target)
+    p = fluctuation_poly(n, alphabet_size)
+    acc: dict[tuple[int, ...], int] = {}
+    for j, c in enumerate(p.coeffs):
+        for key, count in censuses[j].items() if c else ():
+            acc[key] = acc.get(key, 0) + c * count
+    expansion = {key: v for key, v in acc.items() if v}
+    violations = _check("triangle", Census(alphabet_size, n, orbits=expansion), [0] * n + [1])
+    # The expansion is linear and census(0) is {(): 1}, so R_n = P_n + c expands to P_n's
+    # expansion plus c at the identity alone.  Its check without the identity therefore
+    # passes iff P_n's only violation, if any, is its identity count i, leaving i + c.
+    d, i = fluctuation_poly_recurrence(n, alphabet_size, "x") - p, expansion.get((), 0)
+    residual = i + sum(d.coeffs) if d.degree < 1 and len(violations) == (i != 0) else None
     triangle_exact = not violations
-
-    rec = _reduced_expansion(fluctuation_poly_recurrence(n, alphabet_size, "x"), censuses)
-    residual: int | None = rec.pop((), 0)
-    if _check("recurrence", Census(alphabet_size, n, orbits=rec), target):
-        residual = None
+    if residual is None:
         violations.append("recurrence: expansion differs from Q_n by more than a constant")
     return PolyExpansionReport(n, alphabet_size, triangle_exact, residual, tuple(violations))

@@ -153,11 +153,13 @@ class TraceSamples:
         """Tr(f(X)) per trial, assembled from the recorded power traces."""
         if poly.degree > self.config.max_power:
             raise ValueError(f"degree {poly.degree} exceeds max_power {self.config.max_power}")
-        out = np.zeros(self.config.trials)
-        for j, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            out += c * (self.config.matrix_size if j == 0 else self.traces[:, j - 1])
+        m, out = self.config.matrix_size, np.zeros(self.config.trials)
+        if any(abs(c) * (1 if j else m) > sys.float_info.max for j, c in enumerate(poly.coeffs)):
+            raise ValueError("a term of Tr(f(X)) leaves float range")
+        with np.errstate(all="ignore"):  # an inf or nan is refused by _jackknife_cov
+            for j, c in enumerate(poly.coeffs):
+                if c:
+                    out += c * (m if j == 0 else self.traces[:, j - 1])
         return out
 
 

@@ -49,6 +49,10 @@ def word(letters: Iterable[int], alphabet_size: int) -> Word:
     return Word(alphabet_size, tuple(letters))
 
 
+_ALPHABET = " abcdefghijklmnopqrstuvwxyzZYXWVUTSRQPONMLKJIHGFEDCBA"  # [l] spells letter l
+_LETTER = {_ALPHABET[l]: l for l in range(-26, 27) if l}
+
+
 def parse_word(text: str, alphabet_size: int) -> Word:
     """Parse either encoding into a Word; no reduction is applied.
 
@@ -65,18 +69,10 @@ def parse_word(text: str, alphabet_size: int) -> Word:
         if not isinstance(values, list) or not all(type(v) is int for v in values):
             raise ValueError(f"malformed word {text!r}: expected a JSON array of integers")
         return Word(alphabet_size, tuple(values))
-    letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise ValueError(f"malformed word {text!r}: unexpected character {ch!r}")
-    return Word(alphabet_size, tuple(letters))
-
-
-_ALPHABET = " abcdefghijklmnopqrstuvwxyzZYXWVUTSRQPONMLKJIHGFEDCBA"  # [l] spells letter l
+    try:
+        return Word(alphabet_size, tuple(map(_LETTER.__getitem__, text)))
+    except KeyError as exc:
+        raise ValueError(f"malformed word {text!r}: unexpected character {exc.args[0]!r}") from None
 
 
 def word_to_text(w: Word) -> str:
@@ -336,7 +332,7 @@ def standard_decomposition(w: Word) -> Decomposition:
         if p:
             lo += p
             continue
-        s = _max_reducible_prefix(tuple(-l for l in reversed(letters[lo:hi])))
+        s = _max_reducible_prefix(letters[lo:hi][::-1])  # the inverse, relabelled a -> a^-1
         if s:
             hi -= s
             continue

@@ -438,8 +438,9 @@ def test_rmt_pinned_lines_and_keys(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    # Only the Monte Carlo harness needs numpy; `rmt` loads it on first use.
+    # Only the Monte Carlo harness needs numpy and a drawn seed; the `rmt` command loads both.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
-    code = "import sys, freecycle, freecycle.cli; print('numpy' in sys.modules)"
+    code = ("import sys, freecycle, freecycle.cli; "
+            "print('numpy' in sys.modules, 'secrets' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
-    assert proc.stdout == b"False\n"
+    assert proc.stdout == b"False False\n"

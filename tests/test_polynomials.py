@@ -206,15 +206,17 @@ class TestOrbitFormAgainstSpelledOracle:
         assert self._fields(verify_poly_expansion(n, n_gens)) == want
 
     @pytest.mark.parametrize("degree", [4, 6])
-    @pytest.mark.parametrize("edit", ["drop", "miscount"])
+    @pytest.mark.parametrize("edit", ["drop", "miscount", "identity"])
     def test_edited_census_reports_equal(self, monkeypatch, degree, edit):
         censuses = {j: census(j, 2) for j in range(0, 7, 2)}
         orbits = dict(censuses[degree].orbits)
         longest = max(orbits, key=len)
         if edit == "drop":
             del orbits[longest]
-        else:
+        elif edit == "miscount":
             orbits[longest] += 1
+        else:  # P_n's only violation is its identity count, so R_n still has a residual
+            orbits[()] += 1
         censuses[degree] = Census(2, degree, orbits=orbits)
         monkeypatch.setattr(polynomials, "census", lambda j, n_gens, **kw: censuses[j])
         report = verify_poly_expansion(6, 2)

@@ -249,6 +249,10 @@ class TestFluctuationCovariance:
         x250 = IntPolynomial.monomial(250)
         with pytest.raises(ValueError, match="float range"):
             fluctuation_covariance(samples, x250, x250)
+        # 10^307 Tr X^2 overflows in numpy's multiply; 10^400 does not convert to a float
+        for f in (IntPolynomial.monomial(2, 10**307), IntPolynomial.monomial(1, 10**400)):
+            with pytest.raises(ValueError, match="float range"):
+                fluctuation_covariance(samples, f, f)
 
 
 class TestDiagonalizationReport:
