@@ -13,14 +13,19 @@ unitary's (one O(m) draw and no QR), and only U_2..U_N as dense Haar matrices.
 The power traces come from matrix products.
 
 Every trial draws from its own child stream of the master seed, so its draws
-depend only on the seed and its index.  Results are reproducible bit for
-bit only at a fixed BLAS thread count: changing it can move the last digits.
+depend only on the seed and its index.  Trials run whole, each on one thread;
+more than one thread runs them only when BLAS is pinned (OPENBLAS_NUM_THREADS
+or OMP_NUM_THREADS) and m >= POOL_MIN_SIZE (see ``_workers``).  So the traces
+do not depend on the number of threads, but they are reproducible bit for bit
+only at a fixed BLAS thread count: changing it can move the last digits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +33,18 @@ import numpy as np
 from .polynomials import IntPolynomial, fluctuation_poly
 
 
+# SimConfig refuses a run whose estimated memory exceeds this many bytes.
+MAX_SAMPLE_BYTES = 2 << 30
+# The smallest matrix size at which sample_traces runs trials on more than one thread.
+POOL_MIN_SIZE = 100
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Settings for one simulation run; equal configs give identical samples."""
+    """Settings for one simulation run; equal configs give identical samples.
+
+    Refuses, with ValueError, a run whose estimated memory exceeds MAX_SAMPLE_BYTES.
+    """
 
     matrix_size: int
     alphabet_size: int
@@ -56,6 +70,14 @@ class SimConfig:
             raise ValueError("need m (2N)^max_power and 4 trials (2N)^(2 max_power) in float range")
         if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise ValueError("need a finite z_threshold > 0")
+        # Per thread, N + ceil(P/2) + 4 matrices bound the sum, QR's Ginibre matrix, copy,
+        # LAPACK buffer and Q, and X's half powers; then the traces.
+        m, power = self.matrix_size, self.max_power
+        matrices = self.alphabet_size + (power + 1) // 2 + 4
+        need = _workers(m, self.trials) * matrices * m * m * 16 + self.trials * power * 8
+        if need > MAX_SAMPLE_BYTES:
+            raise ValueError(f"the run needs about {need / 2**30:.3g} GiB, above the "
+                             f"{MAX_SAMPLE_BYTES / 2**30:g} GiB limit (MAX_SAMPLE_BYTES)")
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
@@ -75,19 +97,21 @@ def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
         q, r = np.linalg.qr(z)
         d = np.diagonal(r)
         if np.all(np.abs(d) > 0) and np.all(np.isfinite(q)):
-            return q * (d / np.abs(d))
+            q *= d / np.abs(d)
+            return q
 
 
-def _cue_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """An m x m unitary whose eigenvalues have the law of a Haar unitary's.
+def _cmv_entries(m: int, rng: np.random.Generator) -> tuple[tuple, np.ndarray]:
+    """The nonzero entries of an m x m unitary whose eigenvalues have the law of a
+    Haar unitary's, as (rows, columns) and values.
 
     The CMV matrix C = L M of Killip and Nenciu (IMRN 2004): L is the block sum
     T_0 + T_2 + ... and M is 1 + T_1 + T_3 + ..., where the block
     T_k = [[conj(a_k), r_k], [r_k, -a_k]] sits on rows and columns k, k + 1,
     r_k = sqrt(1 - |a_k|^2), and the last block is the 1 x 1 conj(a_{m-1}).
     The a_k are independent with uniform phases, |a_k|^2 ~ Beta(1, m - k - 1)
-    for k < m - 1, and |a_{m-1}| = 1.  Draws m - 1 radii, then m phases; C has
-    at most 4 nonzeros per row.
+    for k < m - 1, and |a_{m-1}| = 1.  Draws m - 1 radii, then m phases.  Row i
+    of C has its nonzeros among columns b..b + 3, b = i - 1 - i % 2.
     """
     radius2 = np.append(1 - rng.random(m - 1) ** (1 / np.arange(m - 1, 0, -1)), 1.0)
     # Index k + 1 holds a_k and r_k; a_{-1} = -1 with r_{-1} = 0 makes M's leading 1
@@ -103,32 +127,35 @@ def _cue_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
         diagonal = np.where(top, a[k + 1].conj(), -a[k + 1])
         return diagonal, r[k + 1], np.clip(np.where(top, i + 1, i - 1), 0, m - 1)
 
-    diagonal, off, col = rows(1)
-    right = np.zeros((m, m), dtype=complex)
-    right[i, i] = diagonal
-    right[i, col] += off  # a clipped column is the row's own, with off = r = 0
+    cols = (i - 1 - i % 2)[:, None] + np.arange(4)
+    diagonal_m, off_m, col_m = rows(1)
+
+    def right(row: np.ndarray) -> np.ndarray:
+        """M[row, cols]; a clipped column is the row's own, with off = r = 0."""
+        off_diagonal = np.where(cols == col_m[row, None], off_m[row, None], 0)
+        return np.where(cols == row[:, None], diagonal_m[row, None], off_diagonal)
+
     # Each row of L has one partner row, so a row of L M mixes two rows of M.
-    diagonal, off, col = rows(0)
-    return diagonal[:, None] * right + off[:, None] * right[col]
+    diagonal_l, off_l, col_l = rows(0)
+    values = diagonal_l[:, None] * right(i) + off_l[:, None] * right(col_l)
+    keep = (cols >= 0) & (cols < m)
+    return (np.broadcast_to(i[:, None], cols.shape)[keep], cols[keep]), values[keep]
 
 
-def _trial_unitaries(cfg: SimConfig, rng: np.random.Generator) -> list[np.ndarray]:
-    """One trial's U_1, ..., U_N: a CMV matrix with the Haar spectrum, then N - 1
-    Haar unitaries, drawn in that order from rng.
-
-    Tr X^p is a sum of traces of words in the U_i, which simultaneous conjugation
-    leaves unchanged.  Conjugating by an independent Haar V keeps U_2..U_N Haar and
-    makes V C V* Haar, so the traces have the law they have with U_1 Haar.
-    """
-    m = cfg.matrix_size
-    return [_cue_unitary(m, rng)] + [haar_unitary(m, rng) for _ in range(cfg.alphabet_size - 1)]
+def _cue_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The CMV matrix of ``_cmv_entries``, dense: unitary with the Haar spectrum."""
+    c = np.zeros((m, m), dtype=complex)
+    index, values = _cmv_entries(m, rng)
+    c[index] += values
+    return c
 
 
 def _power_traces(x: np.ndarray, max_power: int) -> np.ndarray:
-    """Tr(X^p) for p = 1..max_power of a Hermitian X.
+    """Tr(X^p) for p = 1..max_power of the Hermitian X = S + S*, formed over the given S.
 
     Tr X^(a+b) = <X^a, X^b>, so powers up to ceil(max_power / 2) give every trace.
     """
+    x += x.conj().T
     half = [x]
     while len(half) < (max_power + 1) // 2:
         half.append(half[-1] @ x)
@@ -163,22 +190,85 @@ class TraceSamples:
         return out
 
 
+def _trial_sum(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
+    """One trial's U_1 + ... + U_N: a CMV matrix with the Haar spectrum, then N - 1
+    Haar unitaries, drawn in that order from rng and summed in that order.
+
+    Tr X^p is a sum of traces of words in the U_i, which simultaneous conjugation
+    leaves unchanged.  Conjugating by an independent Haar V keeps U_2..U_N Haar and
+    makes V C V* Haar, so the traces have the law they have with U_1 Haar.  C's
+    nonzeros are added straight into the sum, which is never a dense C.
+    """
+    m = cfg.matrix_size
+    index, values = _cmv_entries(m, rng)
+    s = haar_unitary(m, rng) if cfg.alphabet_size > 1 else np.zeros((m, m), dtype=complex)
+    s[index] += values
+    for _ in range(cfg.alphabet_size - 2):
+        s += haar_unitary(m, rng)
+    return s
+
+
+def _workers(matrix_size: int, trials: int) -> int:
+    """Threads for sample_traces: the usable CPUs over the BLAS threads, at most trials.
+
+    One thread when neither OPENBLAS_NUM_THREADS nor, after it, OMP_NUM_THREADS sets
+    the BLAS threads, since BLAS then runs a thread per core itself, or when
+    m < POOL_MIN_SIZE, where the trials hold the GIL more than they release it.
+    """
+    values = (os.environ.get(name, "") for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    blas = next((int(v) for v in values if v.isdigit() and int(v) > 0), None)
+    if blas is None or matrix_size < POOL_MIN_SIZE:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on Linux
+        cpus = os.cpu_count() or 1
+    return max(1, min(trials, cpus // blas))
+
+
+def _sample_traces(cfg: SimConfig, workers: int) -> TraceSamples:
+    """sample_traces on the calling thread and workers - 1 more, which take trials
+    from one queue; a failed trial stops every thread after its current trial."""
+    traces = np.zeros((cfg.trials, cfg.max_power))
+    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
+    pending = iter(range(cfg.trials))  # shared: next() on it holds the GIL
+    failures: list[BaseException] = []
+
+    def work() -> None:
+        try:
+            for t in pending:
+                # Passed unnamed, a trial's sum is freed before the next trial draws.
+                traces[t] = _power_traces(
+                    _trial_sum(cfg, np.random.default_rng(streams[t])), cfg.max_power
+                )
+        except BaseException as exc:
+            failures.append(exc)
+            for _ in pending:
+                pass
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
+    return TraceSamples(cfg, traces)
+
+
 def sample_traces(cfg: SimConfig) -> TraceSamples:
     """Run all trials and record Tr(X^p) for p = 1..max_power.
 
     Trial t draws its unitaries from child t of the seed: U_1 as a CMV matrix
-    with the Haar spectrum, U_2..U_N as Haar matrices (see ``_trial_unitaries``).
+    with the Haar spectrum, U_2..U_N as Haar matrices (see ``_trial_sum``).
     The traces follow the law of the all-Haar construction, but for a given seed
     they differ from those of versions that drew U_1 as a Haar matrix too.  They
-    come from ceil(max_power / 2) - 1 matrix products.
+    come from ceil(max_power / 2) - 1 matrix products.  Trials run on
+    ``_workers`` threads, each trial whole on one thread, so the traces do not
+    depend on the number of threads.
     """
-    traces = np.zeros((cfg.trials, cfg.max_power))
-    streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
-
-    for t in range(cfg.trials):
-        s = sum(_trial_unitaries(cfg, np.random.default_rng(streams[t])))
-        traces[t] = _power_traces(s + s.conj().T, cfg.max_power)
-    return TraceSamples(cfg, traces)
+    return _sample_traces(cfg, _workers(cfg.matrix_size, cfg.trials))
 
 
 def estimate_moment(samples: TraceSamples, p: int) -> tuple[float, float]:

@@ -277,6 +277,41 @@ def trace_by_matrix_powers(x, p_max: int) -> list[complex]:
     return traces
 
 
+def dense_cmv(m: int, rng):
+    """The CMV matrix that ``rmt._cmv_entries`` gives for the same draws (m - 1 radii,
+    then m phases), built as dense L and M from their 2 x 2 blocks.  Row i of L M is
+    the sum of L[i, k] M[k] over the nonzero L[i, k], k ascending."""
+    import numpy as np
+
+    radius2 = np.append(1 - rng.random(m - 1) ** (1 / np.arange(m - 1, 0, -1)), 1.0)
+    a = np.sqrt(radius2) * np.exp(2j * np.pi * rng.random(m))
+    r = np.sqrt(1 - radius2)
+
+    def block_sum(first: int):
+        out = np.zeros((m, m), dtype=complex)
+        out[0, 0] = first  # M's leading 1
+        for k in range(first, m, 2):
+            block = [[a[k].conj(), r[k]], [r[k], -a[k]]] if k + 1 < m else [[a[k].conj()]]
+            out[k:k + 2, k:k + 2] = block
+        return out
+
+    left, right = block_sum(0), block_sum(1)
+    c = np.zeros((m, m), dtype=complex)
+    for i in range(m):
+        for k in np.flatnonzero(left[i]):
+            c[i] += left[i, k] * right[k]
+    return c
+
+
+def trial_unitaries(cfg, rng):
+    """One trial's U_1, ..., U_N as dense matrices, drawn in the order of
+    ``rmt._trial_sum``: the CMV factor, then N - 1 Haar unitaries."""
+    from freecycle import haar_unitary
+
+    m = cfg.matrix_size
+    return [dense_cmv(m, rng)] + [haar_unitary(m, rng) for _ in range(cfg.alphabet_size - 1)]
+
+
 def haar_sample_traces(cfg):
     """Tr(X^p) per trial, p = 1..max_power, with every U_i a dense Haar matrix drawn
     from the trial's own child stream and the traces summed from eigenvalues."""

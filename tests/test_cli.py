@@ -312,6 +312,25 @@ def test_rmt_seed_echoed_when_drawn(capsys):
     assert isinstance(json.loads(out)["seed"], int)
 
 
+@pytest.mark.parametrize("size, trials", [("40000", "3"), ("20", "100000000")])
+def test_rmt_beyond_memory_limit_refused_before_sampling(capsys, monkeypatch, tmp_path, size, trials):
+    # one 40000 x 40000 matrix is 23.8 GiB; 10^8 trials' traces are 4.47 GiB
+    import freecycle.rmt
+
+    def refuse(cfg):
+        raise AssertionError("sampled a run beyond the memory limit")
+
+    monkeypatch.setattr(freecycle.rmt, "sample_traces", refuse)
+    path = tmp_path / "old.csv"
+    path.write_text("kept\n")
+    code, out, err = run(
+        capsys, "rmt", "--gens", "2", "--size", size, "--trials", trials, "--seed", "1",
+        "--csv", str(path),
+    )
+    assert (code, out) == (2, "") and err.startswith("error: the run needs about")
+    assert err.count("\n") == 1 and "MAX_SAMPLE_BYTES" in err and path.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "option, value",
     [("--k-max", "-3"), ("--k-max", "3"), ("--z-threshold", "nan"), ("--z-threshold", "-1"),
@@ -438,9 +457,9 @@ def test_rmt_pinned_lines_and_keys(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    # Only the Monte Carlo harness needs numpy and a drawn seed; the `rmt` command loads both.
+    # Only the Monte Carlo harness needs numpy, a drawn seed and a thread pool; `rmt` loads them.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
-    code = ("import sys, freecycle, freecycle.cli; "
-            "print('numpy' in sys.modules, 'secrets' in sys.modules)")
+    code = ("import sys, freecycle, freecycle.cli; print('numpy' in sys.modules, "
+            "'secrets' in sys.modules, 'concurrent.futures' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
-    assert proc.stdout == b"False False\n"
+    assert proc.stdout == b"False False False\n"

@@ -1,4 +1,8 @@
+import itertools
 import math
+import os
+import sys
+import threading
 from functools import reduce
 
 import numpy as np
@@ -17,13 +21,16 @@ from freecycle import (
     sample_traces,
 )
 
-from freecycle.rmt import _cue_unitary, _trial_unitaries
+from freecycle import rmt
+from freecycle.rmt import _cue_unitary, _sample_traces, _trial_sum, _workers
 
 from oracles import (
     cyclically_reduced_count,
+    dense_cmv,
     haar_sample_traces,
     second_order_limits,
     trace_by_matrix_powers,
+    trial_unitaries,
 )
 
 LAW_SEED = 1994
@@ -84,6 +91,17 @@ class TestFiniteSizeLaw:
         c = _cue_unitary(m, np.random.default_rng(6))
         assert np.max(np.abs(c.conj().T @ c - np.eye(m))) <= 1e-12
         assert np.count_nonzero(c, axis=1).max() <= 4
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    def test_cmv_scatter_equals_dense_product(self, m):
+        c = _cue_unitary(m, np.random.default_rng([6, m]))
+        assert np.array_equal(c, dense_cmv(m, np.random.default_rng([6, m])))
+
+    @pytest.mark.parametrize("n_gens", [1, 2, 3])
+    def test_trial_sum_equals_sum_of_dense_unitaries(self, n_gens):
+        cfg = _config(matrix_size=9, alphabet_size=n_gens)
+        s = _trial_sum(cfg, np.random.default_rng(8))
+        assert np.array_equal(s, sum(trial_unitaries(cfg, np.random.default_rng(8))))
 
     def test_second_order_limits_oracle(self):
         for n_gens in (1, 2, 3):
@@ -151,7 +169,7 @@ class TestSampleTraces:
             streams = np.random.SeedSequence(cfg.seed).spawn(cfg.trials)
             for t in range(cfg.trials):
                 x = np.zeros((25, 25), dtype=complex)
-                for u in _trial_unitaries(cfg, np.random.default_rng(streams[t])):
+                for u in trial_unitaries(cfg, np.random.default_rng(streams[t])):
                     x += u + u.conj().T
                 direct = trace_by_matrix_powers(x, cfg.max_power)
                 for p in range(1, cfg.max_power + 1):
@@ -180,7 +198,7 @@ class TestSampleTraces:
     def test_trace_identity_of_the_diagonalizing_polynomials(self):
         # Tr P_n(X) = sum of Tr U_v over the cyclically reduced v of length n, at every m
         cfg = SimConfig(matrix_size=12, alphabet_size=2, trials=2, max_power=6, seed=5)
-        us = _trial_unitaries(cfg, np.random.default_rng(cfg.seed))
+        us = trial_unitaries(cfg, np.random.default_rng(cfg.seed))
         letters = {g: u for g, u in enumerate(us, 1)} | {-g: u.conj().T for g, u in enumerate(us, 1)}
         x = sum(u + u.conj().T for u in us)
         for n in range(1, 7):
@@ -196,6 +214,91 @@ class TestSampleTraces:
             samples.power_traces(5)
         with pytest.raises(ValueError):
             samples.poly_traces(IntPolynomial.monomial(9))
+
+
+class TestTrialPool:
+    @pytest.mark.parametrize("n_gens", [1, 2, 3])
+    def test_traces_do_not_depend_on_workers(self, n_gens):
+        for trials in (2, 5):  # 3 workers for 2 trials too
+            cfg = _config(matrix_size=24, alphabet_size=n_gens, trials=trials, max_power=5, seed=17)
+            serial = _sample_traces(cfg, 1).traces
+            for workers in (2, 3):
+                assert np.array_equal(_sample_traces(cfg, workers).traces, serial)
+            assert np.array_equal(sample_traces(cfg).traces, serial)
+
+    def test_every_trial_runs_once_under_frequent_thread_switches(self, monkeypatch):
+        calls = itertools.count()
+
+        def counted(cfg, rng):
+            next(calls)
+            return _trial_sum(cfg, rng)
+
+        cfg = _config(matrix_size=6, trials=60, max_power=3, seed=23)
+        serial = _sample_traces(cfg, 1).traces
+        monkeypatch.setattr(rmt, "_trial_sum", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = _sample_traces(cfg, 5).traces  # more threads than cores
+        finally:
+            sys.setswitchinterval(interval)
+        assert next(calls) == cfg.trials and np.array_equal(pooled, serial)
+
+    def test_worker_rule(self, monkeypatch):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert _workers(200, 12) == 1  # BLAS unpinned runs a thread per core itself
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert _workers(200, 12) == 2
+        assert _workers(rmt.POOL_MIN_SIZE, 12) == 2
+        assert _workers(rmt.POOL_MIN_SIZE - 1, 12) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        assert _workers(200, 3) == 3
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        assert _workers(200, 12) == 4
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        assert _workers(200, 12) == 1
+        monkeypatch.setenv("OMP_NUM_THREADS", "garbage")
+        assert _workers(200, 12) == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _workers(200, 12) == 4
+
+    def test_failed_trial_propagates_and_joins_threads(self, monkeypatch):
+        before = threading.active_count()
+        started = itertools.count()
+
+        def fail_fourth(cfg, rng):
+            if next(started) == 3:
+                raise RuntimeError("trial failed")
+            return _trial_sum(cfg, rng)
+
+        monkeypatch.setattr(rmt, "_trial_sum", fail_fourth)
+        with pytest.raises(RuntimeError, match="trial failed"):
+            _sample_traces(_config(matrix_size=20, trials=100), 2)
+        assert threading.active_count() == before
+        assert next(started) < 100  # the other thread stopped after its current trial
+
+    def test_memory_limit(self, monkeypatch):
+        # (N + ceil(P/2) + 4) m^2 16 bytes per worker, plus trials P 8: 9 * 100^2 * 16 + 480
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        config = dict(matrix_size=100, trials=10, max_power=6)
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 2 * 1_440_000 + 480)
+        assert _config(**config).trials == 10
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 2 * 1_440_000 + 479)
+        with pytest.raises(ValueError, match="MAX_SAMPLE_BYTES"):
+            _config(**config)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert _config(**config).trials == 10  # one worker
+        monkeypatch.undo()
+        for big in (dict(matrix_size=40_000, trials=3), dict(matrix_size=20, trials=100_000_000)):
+            with pytest.raises(ValueError, match="above the 2 GiB limit"):
+                _config(max_power=6, **big)
 
 
 class TestMomentEstimates:
