@@ -15,9 +15,12 @@ The power traces come from matrix products.
 Every trial draws from its own child stream of the master seed, so its draws
 depend only on the seed and its index.  Trials run whole, each on one thread;
 more than one thread runs them only when BLAS is pinned (OPENBLAS_NUM_THREADS
-or OMP_NUM_THREADS) and m >= POOL_MIN_SIZE (see ``_workers``).  So the traces
-do not depend on the number of threads, but they are reproducible bit for bit
-only at a fixed BLAS thread count: changing it can move the last digits.
+or OMP_NUM_THREADS) and m >= POOL_MIN_SIZE, and only as many as fit in
+MAX_SAMPLE_BYTES (see ``_workers``).  So the traces do not depend on the number
+of threads, but they are reproducible bit for bit only at a fixed BLAS thread
+count: changing it can move the last digits.  The rule assumes an OpenBLAS
+that read those variables when it loaded, as numpy's wheels do; it was
+measured only there.
 """
 
 from __future__ import annotations
@@ -70,11 +73,7 @@ class SimConfig:
             raise ValueError("need m (2N)^max_power and 4 trials (2N)^(2 max_power) in float range")
         if not (math.isfinite(self.z_threshold) and self.z_threshold > 0):
             raise ValueError("need a finite z_threshold > 0")
-        # Per thread, N + ceil(P/2) + 4 matrices bound the sum, QR's Ginibre matrix, copy,
-        # LAPACK buffer and Q, and X's half powers; then the traces.
-        m, power = self.matrix_size, self.max_power
-        matrices = self.alphabet_size + (power + 1) // 2 + 4
-        need = _workers(m, self.trials) * matrices * m * m * 16 + self.trials * power * 8
+        need = sum(_sample_bytes(self))  # on one thread; _workers adds only threads that fit
         if need > MAX_SAMPLE_BYTES:
             raise ValueError(f"the run needs about {need / 2**30:.3g} GiB, above the "
                              f"{MAX_SAMPLE_BYTES / 2**30:g} GiB limit (MAX_SAMPLE_BYTES)")
@@ -208,22 +207,38 @@ def _trial_sum(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return s
 
 
-def _workers(matrix_size: int, trials: int) -> int:
-    """Threads for sample_traces: the usable CPUs over the BLAS threads, at most trials.
+def _sample_bytes(cfg: SimConfig) -> tuple[int, int]:
+    """Estimated bytes of sample_traces: per thread, then once for the traces.
+
+    Per thread, N + ceil(P/2) + 4 m x m matrices bound the sum, QR's Ginibre
+    matrix, copy, LAPACK buffer and Q, and X's half powers.
+    """
+    m, power = cfg.matrix_size, cfg.max_power
+    return (cfg.alphabet_size + (power + 1) // 2 + 4) * m * m * 16, cfg.trials * power * 8
+
+
+def _workers(cfg: SimConfig) -> int:
+    """Threads for sample_traces: the usable CPUs over the BLAS threads, at most
+    trials and at most as many as fit in MAX_SAMPLE_BYTES.
 
     One thread when neither OPENBLAS_NUM_THREADS nor, after it, OMP_NUM_THREADS sets
     the BLAS threads, since BLAS then runs a thread per core itself, or when
     m < POOL_MIN_SIZE, where the trials hold the GIL more than they release it.
+    The variables are read at call time: the rule assumes they also set the
+    BLAS threads when BLAS loaded, which holds for OpenBLAS configured from the
+    environment but not when they are set after numpy is imported, nor for MKL
+    (MKL_NUM_THREADS) or Accelerate.
     """
     values = (os.environ.get(name, "") for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     blas = next((int(v) for v in values if v.isdigit() and int(v) > 0), None)
-    if blas is None or matrix_size < POOL_MIN_SIZE:
+    if blas is None or cfg.matrix_size < POOL_MIN_SIZE:
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on Linux
         cpus = os.cpu_count() or 1
-    return max(1, min(trials, cpus // blas))
+    per_thread, traces = _sample_bytes(cfg)
+    return max(1, min(cfg.trials, cpus // blas, (MAX_SAMPLE_BYTES - traces) // per_thread))
 
 
 def _sample_traces(cfg: SimConfig, workers: int) -> TraceSamples:
@@ -268,7 +283,7 @@ def sample_traces(cfg: SimConfig) -> TraceSamples:
     ``_workers`` threads, each trial whole on one thread, so the traces do not
     depend on the number of threads.
     """
-    return _sample_traces(cfg, _workers(cfg.matrix_size, cfg.trials))
+    return _sample_traces(cfg, _workers(cfg))
 
 
 def estimate_moment(samples: TraceSamples, p: int) -> tuple[float, float]:

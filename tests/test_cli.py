@@ -457,9 +457,9 @@ def test_rmt_pinned_lines_and_keys(capsys):
 
 
 def test_import_leaves_numpy_unloaded():
-    # Only the Monte Carlo harness needs numpy, a drawn seed and a thread pool; `rmt` loads them.
+    # Only the Monte Carlo harness needs numpy, a drawn seed and its trial threads; `rmt` has them.
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(freecycle.__file__)))
     code = ("import sys, freecycle, freecycle.cli; print('numpy' in sys.modules, "
-            "'secrets' in sys.modules, 'concurrent.futures' in sys.modules)")
+            "'secrets' in sys.modules, 'freecycle.rmt' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
     assert proc.stdout == b"False False False\n"

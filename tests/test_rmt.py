@@ -245,27 +245,30 @@ class TestTrialPool:
         assert next(calls) == cfg.trials and np.array_equal(pooled, serial)
 
     def test_worker_rule(self, monkeypatch):
+        def workers(m=200, trials=12):
+            return _workers(_config(matrix_size=m, trials=trials))
+
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        assert _workers(200, 12) == 1  # BLAS unpinned runs a thread per core itself
+        assert workers() == 1  # BLAS unpinned runs a thread per core itself
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert _workers(200, 12) == 2
-        assert _workers(rmt.POOL_MIN_SIZE, 12) == 2
-        assert _workers(rmt.POOL_MIN_SIZE - 1, 12) == 1
+        assert workers() == 2
+        assert workers(rmt.POOL_MIN_SIZE) == 2
+        assert workers(rmt.POOL_MIN_SIZE - 1) == 1
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-        assert _workers(200, 3) == 3
+        assert workers(trials=3) == 3
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        assert _workers(200, 12) == 4
+        assert workers() == 4
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.setenv("OMP_NUM_THREADS", "8")
-        assert _workers(200, 12) == 1
+        assert workers() == 1
         monkeypatch.setenv("OMP_NUM_THREADS", "garbage")
-        assert _workers(200, 12) == 1
+        assert workers() == 1
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert _workers(200, 12) == 4
+        assert workers() == 4
 
     def test_failed_trial_propagates_and_joins_threads(self, monkeypatch):
         before = threading.active_count()
@@ -283,22 +286,39 @@ class TestTrialPool:
         assert next(started) < 100  # the other thread stopped after its current trial
 
     def test_memory_limit(self, monkeypatch):
-        # (N + ceil(P/2) + 4) m^2 16 bytes per worker, plus trials P 8: 9 * 100^2 * 16 + 480
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        # (N + ceil(P/2) + 4) m^2 16 bytes per thread, plus trials P 8: 9 * 100^2 * 16 + 480
         config = dict(matrix_size=100, trials=10, max_power=6)
-        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 2 * 1_440_000 + 480)
-        assert _config(**config).trials == 10
-        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 2 * 1_440_000 + 479)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 1_440_000 + 480)
+        for blas in ("1", None):  # pinned or not, the limit does not depend on the threads
+            if blas:
+                monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas)
+            else:
+                monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+            assert _config(**config).trials == 10
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 1_440_000 + 479)
         with pytest.raises(ValueError, match="MAX_SAMPLE_BYTES"):
             _config(**config)
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        assert _config(**config).trials == 10  # one worker
         monkeypatch.undo()
         for big in (dict(matrix_size=40_000, trials=3), dict(matrix_size=20, trials=100_000_000)):
             with pytest.raises(ValueError, match="above the 2 GiB limit"):
                 _config(max_power=6, **big)
+
+    def test_threads_shrink_to_fit_the_memory_limit(self, monkeypatch):
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        # 9 * 500^2 * 16 bytes, 36 MB, per thread: the run is admitted, and 59 threads
+        # fit in 2 GiB, not 64
+        assert _workers(_config(matrix_size=500, trials=100, max_power=6)) == 59
+        # 9 * 3000^2 * 16 bytes, 1.3 GB: one thread
+        assert _workers(_config(matrix_size=3000, trials=100, max_power=6)) == 1
+        config = dict(matrix_size=100, trials=10, max_power=6)
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 3 * 1_440_000 + 480)
+        assert _workers(_config(**config)) == 3
+        monkeypatch.setattr(rmt, "MAX_SAMPLE_BYTES", 3 * 1_440_000 + 479)
+        assert _workers(_config(**config)) == 2
 
 
 class TestMomentEstimates:
