@@ -23,7 +23,7 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
-from .words import _ALPHABET, Word, _good_rotations, parse_word, word_to_text
+from .words import _ALPHABET, Word, _good_rotations, word_to_text
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -91,43 +91,25 @@ def cyclically_reduced_words(k: int, alphabet_size: int) -> list[Word]:
 class Census:
     """Exact tally of standard cyclic reductions over all words of one length.
 
-    ``counts`` maps each class, spelled by ``word_to_text``, to its number of
-    words.  A census from ``census`` keeps ``orbits``: each canonical class
-    (generators in order of first use, each first use positive) mapped to the
-    count its orbit of signed relabelings shares, and spells ``counts`` from
-    them on first use.  ``Census(N, n, counts)`` holds text counts alone.
+    ``orbits`` maps each canonical class (generators in order of first use,
+    each first use positive) to the count that every class of its orbit of
+    signed relabelings shares.  ``counts`` maps each class, spelled by
+    ``word_to_text``, to its number of words; it is spelled from ``orbits``
+    on first use.
     """
 
     alphabet_size: int
     length: int
-    text_counts: Mapping[str, int] | None = None
-    orbits: Mapping[tuple[int, ...], int] | None = None
-
-    def __post_init__(self) -> None:
-        if (self.text_counts is None) == (self.orbits is None):
-            raise ValueError("a census holds exactly one of text_counts and orbits")
+    orbits: Mapping[tuple[int, ...], int]
 
     @cached_property
     def counts(self) -> Mapping[str, int]:
-        if self.orbits is None:
-            return self.text_counts
         return MappingProxyType(_spell(self.orbits, self.alphabet_size))
-
-    def entries(self) -> list[tuple[tuple[int, ...], int, int]]:
-        """(letters, classes, count per class): each canonical class with the
-        2^m N!/(N-m)! classes of its orbit, m its generators, or each text key alone."""
-        n_gens = self.alphabet_size
-        if self.orbits is None:
-            for key in self.counts:  # two spellings of one word would pass for two classes
-                if word_to_text(parse_word(key, n_gens)) != key:
-                    raise ValueError(f"census key {key!r} is not how its word is spelled")
-            return [(parse_word(key, n_gens).letters, 1, c) for key, c in self.counts.items()]
-        return [(key, _relabelings(max(key, default=0), n_gens), c)
-                for key, c in self.orbits.items()]
 
     @property
     def total(self) -> int:
-        return sum(size * count for _, size, count in self.entries())
+        n_gens = self.alphabet_size
+        return sum(_relabelings(max(key, default=0), n_gens) * c for key, c in self.orbits.items())
 
     def to_json(self) -> dict:
         return {
@@ -361,45 +343,48 @@ def verify_power_expansion(
     exactly kesten_moment(n) times for even n, and nothing else may appear;
     the counts must add up to (2N)^n.
 
-    The check runs over ``Census.entries``, one per orbit of signed
-    relabelings or per key of text counts (see ``_check``).
+    The check runs over the census's canonical classes, one per orbit of
+    signed relabelings (see ``_check``).
     """
     tally = census(n, alphabet_size, budget=budget)
     predicted = [kesten_moment(n, alphabet_size)]
     predicted += [reduction_class_size(n, k, alphabet_size) for k in range(1, n + 1)]
-    violations = _check("census", tally, predicted)
+    violations = _check("census", tally.orbits, alphabet_size, predicted)
     total = tally.total
     if total != (2 * alphabet_size) ** n:
         violations.append(f"census total {total} != {(2 * alphabet_size) ** n}")
     return ExpansionReport(n, alphabet_size, not violations, total, tuple(violations))
 
 
-def _check(label: str, tally: Census, predicted: list[int]) -> list[str]:
-    """Violations of tally = sum of predicted[k] Q_k over k <= n = len(predicted) - 1,
+def _check(
+    label: str, orbits: Mapping[tuple[int, ...], int], alphabet_size: int, predicted: list[int]
+) -> list[str]:
+    """Violations of orbits = sum of predicted[k] Q_k over k <= n = len(predicted) - 1,
     Q_k the sum of the cyclically reduced classes of length k: one line per class.
 
-    Each class must be cyclically reduced with count predicted[k], and the
-    classes of each length k with predicted[k] != 0 must number
-    (2N-1)^k + 1 + (N-1)(1+(-1)^k), as distinct canonical classes have
-    disjoint orbits.  A violation spells only the offending orbit, or lists
-    the words of a length whose classes fall short, in the order of the texts.
+    ``orbits`` holds canonical classes, as ``Census.orbits`` does.  Each class
+    must be cyclically reduced with count predicted[k], and the classes of each
+    length k with predicted[k] != 0 must number (2N-1)^k + 1 + (N-1)(1+(-1)^k),
+    as distinct canonical classes have disjoint orbits.  A violation spells
+    only the offending orbit, or lists the words of a length whose classes fall
+    short, each tested by its canonical form, in the order of the texts.
     """
-    n, n_gens = len(predicted) - 1, tally.alphabet_size
+    n, n_gens = len(predicted) - 1, alphabet_size
     found = [0] * (n + 1)  # cyclically reduced classes of each length
     rows = []
-    for letters, size, count in tally.entries():
+    for letters, count in orbits.items():
         k = len(letters)
         reduced = k <= n and all(map(add, letters, letters[1:] + letters[:1]))  # a != -b
         if reduced:
-            found[k] += size
+            found[k] += _relabelings(max(letters, default=0), n_gens)
         want = predicted[k] if reduced else 0
-        if count != want:  # the first `size` texts: the orbit, or a text key itself
-            rows += [(t, count, want) for t in [*_spell({letters: count}, n_gens)][:size]]
+        if count != want:
+            rows += [(t, count, want) for t in _spell({letters: count}, n_gens)]
     q = 2 * n_gens - 1
     for k, want in enumerate(predicted):
         if want and found[k] < (q**k + 1 + (n_gens - 1) * (1 + (-1) ** k) if k else 1):
-            texts = map(word_to_text, cyclically_reduced_words(k, n_gens))
-            rows += [(t, 0, want) for t in texts if t not in tally.counts]
+            rows += [(word_to_text(w), 0, want) for w in cyclically_reduced_words(k, n_gens)
+                     if _relabel_by_first_use(w.letters)[0] not in orbits]
     return [
         f"{label}: class {t!r} counted {got}, predicted {want}" for t, got, want in sorted(rows)
     ]

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Literal
 
-from .counting import DEFAULT_BUDGET, Census, _census_words, _check, census, kesten_moment
+from .counting import DEFAULT_BUDGET, _census_words, _check, census, kesten_moment
 
 R1Choice = Literal["x", "one"]
 # fluctuation_poly(1000, N) took 0.33 s at N = 2 and 1.1 s at N = 1000 (2.3 and 13 s at 2000)
@@ -237,7 +237,7 @@ def verify_poly_expansion(
         for key, count in censuses[j].items() if c else ():
             acc[key] = acc.get(key, 0) + c * count
     expansion = {key: v for key, v in acc.items() if v}
-    violations = _check("triangle", Census(alphabet_size, n, orbits=expansion), [0] * n + [1])
+    violations = _check("triangle", expansion, alphabet_size, [0] * n + [1])
     # The expansion is linear and census(0) is {(): 1}, so R_n = P_n + c expands to P_n's
     # expansion plus c at the identity alone.  Its check without the identity therefore
     # passes iff P_n's only violation, if any, is its identity count i, leaving i + c.

@@ -147,12 +147,6 @@ class TestCensus:
         assert calls == [(3, 2)] * 2
         assert dict(first.counts) == dict(second.counts)
 
-    def test_holds_exactly_one_of_text_counts_and_orbits(self):
-        # with neither, total raised TypeError; with both, the text counts were dropped
-        for args in ((2, 3), (2, 1, {"a": 5}, {(1,): 1})):
-            with pytest.raises(ValueError, match="exactly one of text_counts and orbits"):
-                Census(*args)
-
     def test_empty_length(self):
         for n_gens in (2, 27):
             assert dict(census(0, n_gens).counts) == {"": 1}
@@ -302,19 +296,6 @@ class TestVerifyPowerExpansion:
         assert data["ok"] is True
         assert data["violations"] == []
 
-    def test_reports_missing_changed_and_extra_classes(self, monkeypatch):
-        # census(3, 1) is {a: 3, A: 3, aaa: 1, AAA: 1}; the edits keep the total at 8
-        counts = dict(census(3, 1).counts)
-        del counts["aaa"]
-        counts["a"] -= 1
-        counts["aa"] = 2
-        monkeypatch.setattr(counting, "census", lambda *a, **kw: counting.Census(1, 3, counts))
-        report = verify_power_expansion(3, 1)
-        assert not report.ok and report.total == 8
-        assert len(report.violations) == 3
-        for key, line in zip(["a", "aa", "aaa"], report.violations):
-            assert f"class {key!r} " in line
-
 
 SPELLED_SIZES = sorted(
     {(n, 1) for n in range(1, 13)}  # criterion 4
@@ -354,15 +335,8 @@ class TestOrbitFormAgainstSpelledOracle:
             monkeypatch.setattr(counting, "census", lambda *a, **kw: tally)
             report = verify_power_expansion(n, n_gens)
             assert not report.ok
+            assert "counts" not in vars(tally)  # the check never spells the census
             assert (list(report.violations), report.total) == spelled_power_report(tally)
-
-
-    def test_text_keys_spelled_otherwise_refused(self, monkeypatch):
-        # "[1]" is the word "a" spelled as JSON: as a key it would stand in for "a"
-        tally = Census(2, 1, {"[1]": 1, "A": 1, "b": 1, "B": 1})
-        monkeypatch.setattr(counting, "census", lambda *a, **kw: tally)
-        with pytest.raises(ValueError, match="census key '\\[1\\]' is not how its word is spelled"):
-            verify_power_expansion(1, 2)
 
 
 class TestMomentTable:
