@@ -277,6 +277,20 @@ def _spell(orbits: Mapping[tuple[int, ...], int], alphabet_size: int) -> dict[st
     return counts
 
 
+def _canonical_reduced(k: int, alphabet_size: int) -> list[tuple[int, ...]]:
+    """The canonical cyclically reduced words of length k: generators in order of
+    first use, each first use positive, so each starts with 1 but the empty word."""
+    level: list[tuple[tuple[int, ...], int]] = [((), 0)]  # (prefix, generators used)
+    for _ in range(k):
+        level = [
+            (p + (l,), max(j, l))
+            for p, j in level
+            for l in (*range(-j, 0), *range(1, min(j + 1, alphabet_size) + 1))
+            if not p or l != -p[-1]
+        ]
+    return [p for p, _ in level if not p or p[-1] != -p[0]]
+
+
 def _relabel_by_first_use(letters: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
     """The canonical relabeling of a word and the number of generators it uses."""
     label: dict[int, int] = {}
@@ -366,8 +380,8 @@ def _check(
     must be cyclically reduced with count predicted[k], and the classes of each
     length k with predicted[k] != 0 must number (2N-1)^k + 1 + (N-1)(1+(-1)^k),
     as distinct canonical classes have disjoint orbits.  A violation spells
-    only the offending orbit, or lists the words of a length whose classes fall
-    short, each tested by its canonical form, in the order of the texts.
+    only the offending orbit, or spells the canonical classes missing from a
+    length whose classes fall short, in the order of the texts.
     """
     n, n_gens = len(predicted) - 1, alphabet_size
     found = [0] * (n + 1)  # cyclically reduced classes of each length
@@ -383,8 +397,8 @@ def _check(
     q = 2 * n_gens - 1
     for k, want in enumerate(predicted):
         if want and found[k] < (q**k + 1 + (n_gens - 1) * (1 + (-1) ** k) if k else 1):
-            rows += [(word_to_text(w), 0, want) for w in cyclically_reduced_words(k, n_gens)
-                     if _relabel_by_first_use(w.letters)[0] not in orbits]
+            missing = [key for key in _canonical_reduced(k, n_gens) if key not in orbits]
+            rows += [(t, 0, want) for t in _spell(dict.fromkeys(missing, 0), n_gens)]
     return [
         f"{label}: class {t!r} counted {got}, predicted {want}" for t, got, want in sorted(rows)
     ]

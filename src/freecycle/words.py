@@ -111,11 +111,14 @@ def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int
     partner = [-1] * len(letters)
     push = stack.append
     pop = stack.pop
+    undo = 0  # the letter that cancels the top of the stack; no letter is 0
     for i, l in enumerate(letters):
-        if stack and letters[stack[-1]] == -l:
+        if l == undo:
             partner[i] = pop()
+            undo = -letters[stack[-1]] if stack else 0
         else:
             push(i)
+            undo = -l
     return stack, partner
 
 
@@ -173,38 +176,50 @@ def has_good_reduction(w: Word) -> bool:
     return _is_good(w.letters, _reduce_with_partners(w.letters)[0])
 
 
-def _good_rotations(
+def _heights(
     letters: tuple[int, ...], survivors: list[int], partner: list[int]
-) -> list[int]:
-    """The good rotations in ascending order, read off rotation 0's kernel pass.
+) -> tuple[list[int], int, int]:
+    """Heights toward a word's repelling end, read off its kernel pass: (h, j, k).
 
-    If rotation 0 is good they are its survivors (through strings).  Otherwise
-    the survivors spell x c x^-1 with c cyclically reduced, and h[t] is the
-    height before letter t toward the word's repelling end x c^-1 c^-1 ... on
-    the Cayley tree: each letter moves it by +-1 and each period lowers it by
-    k = |c|.  The good rotations are its right-to-left records above max(h) - k.
+    The survivors, which must not be empty, spell y c y^-1 with c cyclically
+    reduced; j = |y| and k = |c| >= 1.  h[t] is the height before letter t
+    toward the end y c^-1 c^-1 ... on the Cayley tree: each letter moves it by
+    +-1 and each period lowers it by k.  max(h) is the longest prefix of the
+    end that some w[:r], r < n, reduces to, as h equals that lcp when it grows.
     """
-    if not survivors or _is_good(letters, survivors):
-        return survivors
     u = [letters[i] for i in survivors]
     j = 0
     while u[j] == -u[-1 - j]:
         j += 1
-    c_inv = [-l for l in reversed(u[j : len(u) - j])]
-    end = u[:j] + c_inv * (len(letters) // len(c_inv) + 1)
+    k = len(u) - 2 * j
+    end = u[:j] + [-l for l in reversed(u[j : j + k])] * (len(letters) // k + 1)
     # on_end counts the bottom stack letters that spell a prefix of the end, so
     # the height is on_end steps toward it less depth - on_end steps away.
     depth = on_end = 0
-    h = []
-    for t, l in enumerate(letters):
-        h.append(2 * on_end - depth)
-        if partner[t] >= 0:
+    h: list[int] = []
+    append = h.append
+    for l, p in zip(letters, partner):
+        append(on_end + on_end - depth)
+        if p >= 0:
             depth -= 1
-            on_end = min(on_end, depth)
+            if on_end > depth:
+                on_end = depth
         else:
-            on_end += depth == on_end and l == end[depth]
+            if depth == on_end and l == end[depth]:
+                on_end += 1
             depth += 1
-    top = max(h) - len(c_inv)
+    return h, j, k
+
+
+def _good_rotations(
+    letters: tuple[int, ...], survivors: list[int], partner: list[int]
+) -> list[int]:
+    """Ascending good rotations: rotation 0's survivors if it is good (through
+    strings), else the right-to-left records of ``_heights`` above max(h) - k."""
+    if not survivors or _is_good(letters, survivors):
+        return survivors
+    h, _, k = _heights(letters, survivors, partner)
+    top = max(h) - k
     good = []
     for t in range(len(letters) - 1, -1, -1):
         if h[t] > top:
@@ -264,13 +279,23 @@ def reduction_profile(w: Word, horizon: int | None = None) -> ReductionProfile:
     every later i inside the horizon.  Requires a cyclic reduction of length
     k >= 1; for k = 0 the profile keeps returning to 0 and never becomes
     shift-periodic.  Horizons above ``MAX_PROFILE_HORIZON`` are refused.
+
+    w reduces to y c y^-1 (``_heights``), so w^q reduces to y c^q y^-1, and the
+    reduced prefix v of w[:r] cancels lcp(v, y c^-q y^-1) letters of it: v's lcp with
+    the end once j + qk > max(h), when t_{qn+r} = 2j + qk - h[r].  So only the
+    transient before that q is reduced letter by letter.
+
+    >>> p = reduction_profile(parse_word("aaAbbBAA", 2))
+    >>> p.k, p.period_start, p.values[:10]
+    (2, 3, (1, 2, 1, 2, 3, 2, 3, 4, 3, 2))
     """
     if not w.letters:
         raise ValueError("profile is undefined for the empty word")
-    k = len(cyclic_reduce(w).letters)
-    n = len(w.letters)
-    if k == 0:
+    letters, n = w.letters, len(w.letters)
+    survivors, partner = _reduce_with_partners(letters)
+    if not survivors:
         raise ValueError("profile requires a word that does not reduce to the identity")
+    h, j, k = _heights(letters, survivors, partner)
     if horizon is None:
         horizon = default_profile_horizon(n, k)
     minimum = periodicity_bound(n, k) + n
@@ -278,12 +303,18 @@ def reduction_profile(w: Word, horizon: int | None = None) -> ReductionProfile:
         raise ValueError(f"horizon {horizon} is too short; need at least {minimum}")
     if horizon > MAX_PROFILE_HORIZON:
         raise ValueError(f"horizon {horizon} exceeds the limit of {MAX_PROFILE_HORIZON} values")
+    q0 = max(1, (max(h) - j) // k + 1)  # q0 * n < minimum, as max(h) < n
+    if q0 > 1:
+        partner = _reduce_with_partners(letters * q0)[1]
     # A letter adds 1 to the reduction length; the later letter of a cancelled
     # pair removes itself and its partner, a net step of -1.
-    _, partner = _reduce_with_partners((w.letters * -(-horizon // n))[:horizon])
-    values = tuple(accumulate(1 if p < 0 else -1 for p in partner))
+    values = list(accumulate(1 if p < 0 else -1 for p in partner))
+    period = [2 * j - x for x in h[1:]] + [2 * j + k]  # t_{qn+1..qn+n} less qk
+    for q in range(q0, -(-horizon // n)):
+        values += map((q * k).__add__, period)
+    values = tuple(values[:horizon])
     period_start = 1
-    for i in range(horizon - n, 0, -1):  # 1-based index i, checked high to low
+    for i in range(min(q0 * n, horizon - n), 0, -1):  # 1-based index i, checked high to low
         if values[i - 1 + n] != values[i - 1] + k:
             period_start = i + 1
             break

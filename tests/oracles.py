@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Everything here deliberately uses a different algorithm from the code under
-test: reduction by repeated literal rewriting instead of a stack, crossing
+test: reduction by repeated literal rewriting instead of a stack, the prefix-reduction
+profile by a letter stack over its whole horizon instead of the cycle-lemma heights, crossing
 detection straight from the four-point definition (block against block for
 long pairings), covers from explicit interval lists, the pairing built by
 scanning the infinitely repeated word instead of rotating to a good offset,
@@ -13,7 +14,7 @@ eigenvalues.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 from freecycle import (
     Census,
@@ -69,6 +70,34 @@ def naive_profile(w: Word, horizon: int) -> tuple[int, ...]:
     prefix reduced from scratch by rewriting."""
     repeated = w.letters * (horizon // len(w.letters) + 1)
     return tuple(len(naive_linear_reduce(repeated[:i])) for i in range(1, horizon + 1))
+
+
+def stack_profile(w: Word, horizon: int) -> tuple[int, tuple[int, ...], int]:
+    """(k, values, period_start) of w repeated: a stack of letters over the whole
+    horizon, the running sum of its +-1 steps, and a scan of every index, high to
+    low, for the last that breaks t_{i+n} = t_i + k."""
+    letters, n = w.letters, len(w.letters)
+    core = list(naive_linear_reduce(letters))
+    while len(core) >= 2 and core[0] == -core[-1]:
+        core = core[1:-1]
+    k = len(core)
+    stack: list[int] = []
+    steps = []
+    for i in range(horizon):
+        l = letters[i % n]
+        if stack and stack[-1] == -l:
+            stack.pop()
+            steps.append(-1)
+        else:
+            stack.append(l)
+            steps.append(1)
+    values = tuple(accumulate(steps))
+    period_start = 1
+    for i in range(horizon - n, 0, -1):
+        if values[i - 1 + n] != values[i - 1] + k:
+            period_start = i + 1
+            break
+    return k, values, period_start
 
 
 def is_dominating(signs: list[int]) -> bool:

@@ -103,6 +103,17 @@ class TestCyclicallyReducedWords:
                 ]
                 assert [w.letters for w in cyclically_reduced_words(k, n_gens)] == expected
 
+    def test_canonical_ones_are_the_canonical_forms(self):
+        # the shortfall listing of a failed check looks up only these
+        for n_gens in (1, 2, 3, 4):
+            for k in range(6):
+                forms = {
+                    counting._relabel_by_first_use(w.letters)[0]
+                    for w in cyclically_reduced_words(k, n_gens)
+                }
+                canonical = counting._canonical_reduced(k, n_gens)
+                assert len(canonical) == len(forms) and set(canonical) == forms
+
 
 class TestCensus:
     def test_single_letters(self):

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +31,7 @@ from oracles import (
     naive_linear_reduce,
     naive_profile,
     naive_standard_decomposition,
+    stack_profile,
 )
 from strategies import free_words, nonvanishing_words
 
@@ -203,7 +204,7 @@ class TestGoodRotations:
         assert rotate(w, 4) == w
 
     def test_cycle_lemma_exhaustive_small(self):
-        from itertools import product
+        from itertools import chain, product
 
         for n_gens, max_len in ((1, 7), (2, 7), (3, 5)):
             alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
@@ -275,7 +276,7 @@ class TestGoodRotations:
             assert len(passes) == expected
 
     def test_single_generator_matches_dominating_strings(self):
-        from itertools import product
+        from itertools import chain, product
 
         for n in range(1, 11):
             for signs in product((1, -1), repeat=n):
@@ -331,6 +332,30 @@ class TestReductionProfile:
             if w.letters and cyclic_reduce(w).letters:
                 profile = reduction_profile(w)
                 assert profile.values == naive_profile(w, profile.horizon)
+
+    def test_matches_stack_oracle_exhaustive(self):
+        """The whole profile against a stack over the whole horizon, at the default
+        horizon, the least allowed and that + 3: every word over N = 1, 2, 3 up to
+        lengths 12, 7 and 5, and words c^-m c^(m+1), whose transient lasts m + 1 periods."""
+        exhaustive = (
+            w for n_gens, max_len in ((1, 12), (2, 7), (3, 5))
+            for w in all_words(max_len, n_gens) if w.alphabet_size == n_gens
+        )
+        transient = (
+            parse_word(y + c_inv * m + c * (m + 1) + y_inv, 2)
+            for m in (3, 10, 40)
+            for c, c_inv in (("a", "A"), ("ab", "BA"))
+            for y, y_inv in (("", ""), ("aB", "bA"))
+        )
+        for w in chain(exhaustive, transient):
+            if not cyclic_reduce(w).letters:
+                continue
+            n, k = len(w), len(cyclic_reduce(w))
+            for horizon in (None, periodicity_bound(n, k) + n, periodicity_bound(n, k) + n + 3):
+                profile = reduction_profile(w, horizon)
+                assert (profile.k, profile.values, profile.period_start) == stack_profile(
+                    w, profile.horizon
+                ), (w, horizon)
 
     @settings(max_examples=60)
     @given(nonvanishing_words(max_len=16))
