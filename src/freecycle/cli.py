@@ -63,9 +63,10 @@ def cmd_good_rotations(args) -> Output:
 def cmd_profile(args) -> Output:
     w = _word_of(args)
     p = words.reduction_profile(w, args.horizon)
-    values = list(p.values)
-    payload = {"word": str(w), "k": p.k, "period_start": p.period_start, "values": values}
-    return payload, f"k={p.k} period_start={p.period_start}\nvalues={','.join(map(str, values))}", 0
+    if args.json:
+        values = list(p.values)
+        return {"word": str(w), "k": p.k, "period_start": p.period_start, "values": values}, "", 0
+    return {}, f"k={p.k} period_start={p.period_start}\nvalues={','.join(map(str, p.values))}", 0
 
 
 def cmd_decompose(args) -> Output:

@@ -16,6 +16,7 @@ standard reduction by c.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from itertools import permutations, product
@@ -300,12 +301,18 @@ def _relabel_by_first_use(letters: tuple[int, ...]) -> tuple[tuple[int, ...], in
 
 
 def _census_words(n: int, alphabet_size: int, budget: int) -> None:
-    """Refuses census(n, N) if its (2N)^n words take more than budget word-steps, n each."""
-    steps = (2 * alphabet_size) ** n * max(n, 1)
-    if steps > budget:
-        raise BudgetExceededError(
-            f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
-        )
+    """Refuses census(n, N) if its (2N)^n words take more than budget word-steps, n each.
+    A count with more digits than Python prints is refused unbuilt, as over a power of 10."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    # below log10 of the count, which the float sum misses by a relative 1e-15 at most
+    low = (n * math.log10(2 * alphabet_size) + math.log10(max(n, 1))) * (1 - 1e-12)
+    if limit and low >= limit and budget < 10**limit:
+        steps = f"more than 10^{math.floor(low)}"
+    elif (steps := (2 * alphabet_size) ** n * max(n, 1)) <= budget:
+        return
+    raise BudgetExceededError(
+        f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
+    )
 
 
 def census(

@@ -18,7 +18,6 @@ Indices are 1-based throughout.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping
@@ -278,11 +277,14 @@ def enumerate_half_pairings(n: int, k: int) -> list[HalfPairing]:
         raise ValueError("need 1 <= k <= n")
     if (n - k) % 2:
         raise ValueError(f"no half-pairing on {n} points with {k} through strings: parity")
-    size = math.comb(n, (n - k) // 2)
-    if size > MAX_HALF_PAIRINGS:
-        raise ValueError(f"{size} half-pairings exceed the limit of {MAX_HALF_PAIRINGS}")
+    half, size = (n - k) // 2, 1
+    for i in range(half):  # C(n, i) grows with i <= half < n/2: stop once it passes the limit
+        size = size * (n - i) // (i + 1)
+        if size > MAX_HALF_PAIRINGS:
+            raise ValueError(f"the C({n}, {half}) half-pairings on {n} points with {k} through"
+                             f" strings exceed the limit of {MAX_HALF_PAIRINGS}")
     result = []
-    for blacks in combinations(range(1, n + 1), (n - k) // 2):
+    for blacks in combinations(range(1, n + 1), half):
         black_set = set(blacks)
         colors = "".join("B" if i in black_set else "W" for i in range(1, n + 1))
         result.append(from_dots(DotDiagram(colors)))

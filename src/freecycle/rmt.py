@@ -109,44 +109,27 @@ def _cmv_entries(m: int, rng: np.random.Generator) -> tuple[tuple, np.ndarray]:
     T_k = [[conj(a_k), r_k], [r_k, -a_k]] sits on rows and columns k, k + 1,
     r_k = sqrt(1 - |a_k|^2), and the last block is the 1 x 1 conj(a_{m-1}).
     The a_k are independent with uniform phases, |a_k|^2 ~ Beta(1, m - k - 1)
-    for k < m - 1, and |a_{m-1}| = 1.  Draws m - 1 radii, then m phases.  Row i
-    of C has its nonzeros among columns b..b + 3, b = i - 1 - i % 2.
+    for k < m - 1, and |a_{m-1}| = 1.  Draws m - 1 radii, then m phases.  Rows 2p
+    and 2p + 1 of C are T_2p times the last row of T_{2p-1} and the first of T_{2p+1}.
+    So with a0, a1, a2 = a_{2p-1}, a_{2p}, a_{2p+1}, and r alike, each nonzero is one
+    product: [conj(a1) r0, -conj(a1) a0, r1 conj(a2), r1 r2] and
+    [r1 r0, -r1 a0, -a1 conj(a2), -a1 r2] in columns 2p - 1..2p + 2.
     """
     radius2 = np.append(1 - rng.random(m - 1) ** (1 / np.arange(m - 1, 0, -1)), 1.0)
     # Index k + 1 holds a_k and r_k; a_{-1} = -1 with r_{-1} = 0 makes M's leading 1
-    # the lower corner of a block T_{-1} that the matrix cuts off.
-    a = np.append(-1, np.sqrt(radius2) * np.exp(2j * np.pi * rng.random(m)))
-    r = np.append(0.0, np.sqrt(1 - radius2))
+    # the lower corner of a block T_{-1} that the matrix cuts off.  An odd m pads a_m = r_m = 0.
+    pad = np.zeros(m % 2)
+    a = np.concatenate(([-1], np.sqrt(radius2) * np.exp(2j * np.pi * rng.random(m)), pad))
+    r = np.concatenate(([0.0], np.sqrt(1 - radius2), pad))
+    (a0, a1, a2), (r0, r1, r2) = ((v[:-1:2], v[1::2], v[2::2]) for v in (a, r))
+    # r1 * -a0, not -r1 * a0: the latter turns the zero imaginary part of C[1, 0] negative
+    values = np.array([[a1.conj() * r0, -a1.conj() * a0, r1 * a2.conj(), r1 * r2],
+                       [r1 * r0, r1 * -a0, -a1 * a2.conj(), -a1 * r2]])
+    values = values.transpose(2, 0, 1).reshape(-1, 4)[:m]
     i = np.arange(m)
-
-    def rows(first: int):
-        """Per row of the block sum from T_first on: diagonal, off-diagonal and its column."""
-        k = i - (i - first) % 2
-        top = k == i
-        diagonal = np.where(top, a[k + 1].conj(), -a[k + 1])
-        return diagonal, r[k + 1], np.clip(np.where(top, i + 1, i - 1), 0, m - 1)
-
     cols = (i - 1 - i % 2)[:, None] + np.arange(4)
-    diagonal_m, off_m, col_m = rows(1)
-
-    def right(row: np.ndarray) -> np.ndarray:
-        """M[row, cols]; a clipped column is the row's own, with off = r = 0."""
-        off_diagonal = np.where(cols == col_m[row, None], off_m[row, None], 0)
-        return np.where(cols == row[:, None], diagonal_m[row, None], off_diagonal)
-
-    # Each row of L has one partner row, so a row of L M mixes two rows of M.
-    diagonal_l, off_l, col_l = rows(0)
-    values = diagonal_l[:, None] * right(i) + off_l[:, None] * right(col_l)
     keep = (cols >= 0) & (cols < m)
     return (np.broadcast_to(i[:, None], cols.shape)[keep], cols[keep]), values[keep]
-
-
-def _cue_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """The CMV matrix of ``_cmv_entries``, dense: unitary with the Haar spectrum."""
-    c = np.zeros((m, m), dtype=complex)
-    index, values = _cmv_entries(m, rng)
-    c[index] += values
-    return c
 
 
 def _power_traces(x: np.ndarray, max_power: int) -> np.ndarray:

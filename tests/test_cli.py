@@ -8,7 +8,7 @@ import pytest
 
 import freecycle
 from freecycle import half_pairing_from_json, parse_word
-from freecycle.cli import main
+from freecycle.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -167,6 +167,25 @@ def test_census_text_json_csv(capsys, tmp_path):
 def test_census_budget_exceeded(capsys):
     code, _, err = run(capsys, "census", "--len", "30", "--gens", "2", "--budget", "1000")
     assert code == 2 and "budget" in err
+    # (2N)^n n has 12,050 digits here, more than Python prints by default
+    for command in ("census", "verify-xtoq"):
+        code, _, err = run(capsys, command, "--len", "20000", "--gens", "2")
+        assert code == 2 and "word-steps" in err and "budget" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "profile aAb --gens 2 --horizon 20",
+    "enumerate-pairings --len 6 --through 2",
+    "census --len 3 --gens 2",
+])
+def test_handlers_build_only_the_selected_form(argv):
+    # output that grows with the input is built only in the form --json selects
+    args = build_parser().parse_args(argv.split())
+    payload, text, code = args.handler(args)
+    assert (code, payload) == (0, {}) and text
+    args = build_parser().parse_args(argv.split() + ["--json"])
+    payload, text, code = args.handler(args)
+    assert (code, text) == (0, "") and payload
 
 
 def test_verify_xtoq(capsys):

@@ -144,6 +144,8 @@ class TestCensus:
     def test_budget_guard(self):
         with pytest.raises(BudgetExceededError):
             census(30, 2, budget=10**6)
+        with pytest.raises(BudgetExceededError, match="more than 10"):  # too long to print
+            census(20000, 2)
 
     def test_no_result_is_kept(self, monkeypatch):
         calls = []

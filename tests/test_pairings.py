@@ -447,9 +447,12 @@ class TestEnumeration:
             raise AssertionError("a pairing was built before the size check")
 
         monkeypatch.setattr(pairings, "from_dots", refuse)
-        # C(40, 19) is about 1.3 * 10**11 and C(20, 9) = 167,960
-        for n, k in ((40, 2), (20, 2)):
-            with pytest.raises(ValueError, match="exceed the limit"):
+        # C(40, 19) is about 1.3 * 10**11 and C(20, 9) = 167,960; C(20000, 9999) and
+        # C(10**6, 499999) have more digits than Python prints by default
+        limit = pairings.MAX_HALF_PAIRINGS
+        for n, k in ((40, 2), (20, 2), (20000, 2), (10**6, 2)):
+            message = f"on {n} points with {k} through strings exceed the limit of {limit}"
+            with pytest.raises(ValueError, match=message):
                 enumerate_half_pairings(n, k)
 
     def test_matches_brute_force(self):

@@ -22,7 +22,7 @@ from freecycle import (
 )
 
 from freecycle import rmt
-from freecycle.rmt import _cue_unitary, _sample_traces, _trial_sum, _workers
+from freecycle.rmt import _cmv_entries, _sample_traces, _trial_sum, _workers
 
 from oracles import (
     cyclically_reduced_count,
@@ -37,6 +37,14 @@ LAW_SEED = 1994
 LAW_TRIALS = 10_000
 SAME_LAW_TRIALS = 8_000
 Z_BOUND = 4.0
+
+
+def _cmv_dense(m: int, rng: np.random.Generator) -> np.ndarray:
+    """The CMV factor's entries scattered into zeros: _trial_sum at N = 1, for any m >= 1."""
+    c = np.zeros((m, m), dtype=complex)
+    index, values = _cmv_entries(m, rng)
+    c[index] += values
+    return c
 
 
 def _config(**overrides) -> SimConfig:
@@ -69,7 +77,7 @@ class TestFiniteSizeLaw:
     """Exact identities of a Haar unitary's spectrum at every m (Diaconis and
     Shahshahani 1994): E Tr U^j = 0 and E |Tr U^j|^2 = min(j, m) for j >= 1."""
 
-    @pytest.mark.parametrize("sampler", [_cue_unitary, haar_unitary], ids=["cmv", "haar"])
+    @pytest.mark.parametrize("sampler", [_cmv_dense, haar_unitary], ids=["cmv", "haar"])
     @pytest.mark.parametrize("m", [3, 6])
     def test_power_trace_moments(self, sampler, m):
         rng = np.random.default_rng([LAW_SEED, m])
@@ -86,22 +94,23 @@ class TestFiniteSizeLaw:
                 assert abs(z) <= Z_BOUND, f"{name} U^{j}: mean {values.mean():.4f}, z = {z:.2f}"
             power = power @ us
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 64, 65])
     def test_cmv_factor_is_unitary_and_sparse(self, m):
-        c = _cue_unitary(m, np.random.default_rng(6))
+        c = _cmv_dense(m, np.random.default_rng(6))
         assert np.max(np.abs(c.conj().T @ c - np.eye(m))) <= 1e-12
         assert np.count_nonzero(c, axis=1).max() <= 4
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 64])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 64, 65])
     def test_cmv_scatter_equals_dense_product(self, m):
-        c = _cue_unitary(m, np.random.default_rng([6, m]))
+        c = _cmv_dense(m, np.random.default_rng([6, m]))
         assert np.array_equal(c, dense_cmv(m, np.random.default_rng([6, m])))
 
     @pytest.mark.parametrize("n_gens", [1, 2, 3])
     def test_trial_sum_equals_sum_of_dense_unitaries(self, n_gens):
-        cfg = _config(matrix_size=9, alphabet_size=n_gens)
-        s = _trial_sum(cfg, np.random.default_rng(8))
-        assert np.array_equal(s, sum(trial_unitaries(cfg, np.random.default_rng(8))))
+        for m in (8, 9):  # both parities of the CMV factor's last row pair
+            cfg = _config(matrix_size=m, alphabet_size=n_gens)
+            s = _trial_sum(cfg, np.random.default_rng(8))
+            assert np.array_equal(s, sum(trial_unitaries(cfg, np.random.default_rng(8))))
 
     def test_second_order_limits_oracle(self):
         for n_gens in (1, 2, 3):
