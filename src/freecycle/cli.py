@@ -112,10 +112,8 @@ def cmd_enumerate_pairings(args) -> Output:
 def _refuse_unprintable(log_value: float) -> None:
     """Refuses, before computing it, an answer of at least e^log_value that has more
     digits than Python converts from an integer to text."""
-    # 0 is no limit, as on Python 3.10 releases before the limit came in
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # at least 10^limit has limit + 1 digits; the 1e-6 covers lgamma's rounding
-    if limit and log_value / math.log(10) > limit + 1e-6:
+    # the 1e-6 covers lgamma's rounding
+    if limit := counting._digit_limit(log_value / math.log(10) - 1e-6):
         raise ValueError(
             f"the answer has more than {limit} digits, Python's limit on printing an integer"
             " (PYTHONINTMAXSTRDIGITS=0 lifts it)"
@@ -166,7 +164,32 @@ def cmd_verify_xtoq(args) -> Output:
     return report.to_json(), "\n".join(lines), 0 if report.ok else 1
 
 
+def _log_largest_coefficient(n: int, gens: int, one_seeded: bool) -> float:
+    """A lower bound on the log of poly's largest |coefficient|, q = 2N - 1.
+
+    In the triangle basis, as in the recurrence seeded with x, the x^(n-2i) coefficient
+    is n C(n-i, i) q^i / (n-i) for i < n/2.  Seeded with 1, it is B_n - 2q B_(n-1), where the
+    x^(k-1-2i) coefficient of B_k is (-1)^i C(k-1-i, i) q^i.  An even n's constant,
+    2(-q)^(n/2) plus 2(N-1) or 2, is at least 2q^(n/2) - q - 1 in magnitude.
+    """
+    log_c = lambda a, b: math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+    q = 2 * gens - 1
+    log_q = math.log(q)
+    if one_seeded:
+        terms = [log_c(n - 1 - i, i) + i * log_q for i in range((n + 1) // 2)]
+        terms += [math.log(2) + (i + 1) * log_q + log_c(n - 2 - i, i) for i in range((n - 1) // 2)]
+    else:
+        terms = [math.log(n / (n - i)) + log_c(n - i, i) + i * log_q for i in range((n + 1) // 2)]
+    if n % 2 == 0 and q > 1:  # at N = 1 the constant is at most 4
+        half = n / 2 * log_q
+        terms.append(math.log(2) + half + math.log1p(-(q + 1) / 2 * math.exp(-half)))
+    return max(terms)
+
+
 def cmd_poly(args) -> Output:
+    if args.gens >= 1 and 1 <= args.len <= polynomials.MAX_POLY_DEGREE:  # else refused below
+        one_seeded = args.basis == "recurrence" and args.r1 == "one"
+        _refuse_unprintable(_log_largest_coefficient(args.len, args.gens, one_seeded))
     if args.basis == "triangle":
         p = polynomials.fluctuation_poly(args.len, args.gens)
     else:

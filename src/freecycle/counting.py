@@ -300,18 +300,29 @@ def _relabel_by_first_use(letters: tuple[int, ...]) -> tuple[tuple[int, ...], in
     return tuple(label[l] if l > 0 else -label[-l] for l in letters), len(label)
 
 
+def _digit_limit(log10_low: float) -> int:
+    """Python's limit on the digits it converts from an integer to text when an integer
+    of at least 10^log10_low has more digits than that, else 0.  The limit is 0 where
+    there is none, as on Python 3.10 releases before it came in."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    return limit if limit and log10_low >= limit else 0  # 10^limit has limit + 1 digits
+
+
 def _census_words(n: int, alphabet_size: int, budget: int) -> None:
     """Refuses census(n, N) if its (2N)^n words take more than budget word-steps, n each.
-    A count with more digits than Python prints is refused unbuilt, as over a power of 10."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    # below log10 of the count, which the float sum misses by a relative 1e-15 at most
-    low = (n * math.log10(2 * alphabet_size) + math.log10(max(n, 1))) * (1 - 1e-12)
-    if limit and low >= limit and budget < 10**limit:
-        steps = f"more than 10^{math.floor(low)}"
-    elif (steps := (2 * alphabet_size) ** n * max(n, 1)) <= budget:
+    The count is built only when its log10 is within the budget's or it is printable;
+    a count or budget with more digits than Python prints is named by its power of 10."""
+    # below and above log10 of the count, which the float sum misses by a relative 1e-15
+    log_steps = n * math.log10(2 * alphabet_size) + math.log10(max(n, 1))
+    low, high = log_steps * (1 - 1e-12), log_steps * (1 + 1e-12)
+    log_budget = math.log10(budget) if budget > 0 else -math.inf
+    count = lambda: (2 * alphabet_size) ** n * max(n, 1)
+    if low <= log_budget and count() <= budget:
         return
+    steps = f"more than 10^{math.floor(low)}" if _digit_limit(high) else count()
+    shown = f"about 10^{log_budget:.1f}" if _digit_limit(log_budget * (1 + 1e-12)) else budget
     raise BudgetExceededError(
-        f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {budget}"
+        f"census({n}, {alphabet_size}) needs {steps} word-steps, budget is {shown}"
     )
 
 

@@ -9,8 +9,8 @@ the off-diagonal covariances while plain monomials do not.
 
 The traces depend on (U_1, ..., U_N) only up to simultaneous conjugation, so
 U_1 is drawn as a sparse CMV matrix whose spectrum has the law of a Haar
-unitary's (one O(m) draw and no QR), and only U_2..U_N as dense Haar matrices.
-The power traces come from matrix products.
+unitary's (one O(m) draw), and only U_2..U_N as dense Haar matrices, each a
+product of Householder reflectors (no QR).  The power traces come from matrix products.
 
 Every trial draws from its own child stream of the master seed, so its draws
 depend only on the seed and its index.  Trials run whole, each on one thread;
@@ -40,6 +40,7 @@ from .polynomials import IntPolynomial, fluctuation_poly
 MAX_SAMPLE_BYTES = 2 << 30
 # The smallest matrix size at which sample_traces runs trials on more than one thread.
 POOL_MIN_SIZE = 100
+_BLOCK = 32  # reflectors per block of haar_unitary's product
 
 
 @dataclass(frozen=True)
@@ -80,24 +81,38 @@ class SimConfig:
 
 
 def haar_unitary(m: int, rng: np.random.Generator) -> np.ndarray:
-    """An m x m unitary drawn from Haar measure.
+    """An m x m unitary drawn from Haar measure, by Stewart's sampler.
 
-    QR of a complex Ginibre matrix (real parts drawn first, then imaginary
-    parts), with the unitary factor's column phases fixed so the triangular
-    factor has a positive real diagonal; without that normalization the
-    distribution would not be Haar.  The Ginibre matrix is left unscaled:
-    a positive scale changes only the triangular factor.
+    Householder QR of a complex Ginibre matrix reflects independent Gaussian vectors
+    (Stewart, SIAM J. Numer. Anal. 17, 1980), so they are drawn directly, with no QR:
+    x_0, ..., x_{m-1}, x_j of m - j complex entries, from m (m + 1) normals in that
+    order, real and imaginary parts interleaved; a zero x_j0 is drawn again.  With
+    p_j = -x_j0 / |x_j0|, H_j = I - tau_j v_j v_j* on rows j.. maps x_j to p_j ||x_j|| e_j,
+    where v_j = x_j - p_j ||x_j|| e_j and 1/tau_j = ||v_j||^2 / 2.  H_0 ... H_{m-1} diag(p)
+    is the unitary factor of the QR with positive diagonal.  It is built last block first
+    as I - V T V*, T^-1 = striu(V* V) + diag(1/tau): matrix products, which release the GIL.
     """
     if m < 1:
         raise ValueError("need m >= 1")
-    z = np.empty((m, m), dtype=complex)
+    upper = np.arange(m)[:, None] <= np.arange(m)
+    g = np.zeros((m, m), dtype=complex)  # row j holds x_j from column j on, later Q
     while True:
-        z.real, z.imag = rng.standard_normal((2, m, m))
-        q, r = np.linalg.qr(z)
-        d = np.diagonal(r)
-        if np.all(np.abs(d) > 0) and np.all(np.isfinite(q)):
-            q *= d / np.abs(d)
-            return q
+        g[upper] = rng.standard_normal(m * (m + 1)).view(complex)
+        x0 = g.ravel()[:: m + 1]
+        size = np.abs(x0)
+        if 0 < size.min() <= size.max() < math.inf:
+            break
+    phase = x0 / -size
+    x0 -= phase * np.sqrt(np.einsum("ij,ij->i", g.view(float), g.view(float)))  # now v_j
+    for j0 in range((m - 1) // _BLOCK * _BLOCK, -1, -_BLOCK):
+        q, k = g[j0:, j0:], min(_BLOCK, m - j0)  # q[k:, k:] holds H_(j0+k) ... H_(m-1)
+        vt = q[:k].copy()
+        vh = vt.conj()
+        t_inv = (vh @ vt.T) * (upper[:k, :k] - np.eye(k) / 2)
+        q[:k] = np.eye(k, len(q))
+        q -= vt.T @ (np.linalg.inv(t_inv) @ (vh @ q))
+    g *= phase
+    return g
 
 
 def _cmv_entries(m: int, rng: np.random.Generator) -> tuple[tuple, np.ndarray]:
@@ -193,8 +208,8 @@ def _trial_sum(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
 def _sample_bytes(cfg: SimConfig) -> tuple[int, int]:
     """Estimated bytes of sample_traces: per thread, then once for the traces.
 
-    Per thread, N + ceil(P/2) + 4 m x m matrices bound the sum, QR's Ginibre
-    matrix, copy, LAPACK buffer and Q, and X's half powers.
+    Per thread, N + ceil(P/2) + 4 m x m matrices bound the sum, X's half powers and
+    haar_unitary's peak of about 2.6: Q, which holds the draw, a block's product and V, V*.
     """
     m, power = cfg.matrix_size, cfg.max_power
     return (cfg.alphabet_size + (power + 1) // 2 + 4) * m * m * 16, cfg.trials * power * 8

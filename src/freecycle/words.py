@@ -24,13 +24,15 @@ class Word:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.alphabet_size < 1:
+        n = self.alphabet_size
+        if n < 1:
             raise ValueError("alphabet_size must be at least 1")
         for l in self.letters:
-            if l == 0 or abs(l) > self.alphabet_size:
-                raise ValueError(
-                    f"generator {abs(l)} exceeds alphabet size {self.alphabet_size}"
-                )
+            # one test a letter, type first: bool, float and numpy integers are refused
+            if not (type(l) is int and -n <= l <= n and l):
+                if type(l) is not int:
+                    raise TypeError(f"letter {l!r} is not an int")
+                raise ValueError(f"generator {abs(l)} exceeds alphabet size {n}")
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -8,8 +8,9 @@ long pairings), covers from explicit interval lists, the pairing built by
 scanning the infinitely repeated word instead of rotating to a good offset,
 Kesten moments from a walk on reduced lengths instead of a sum of ballot
 numbers, the x^n and P_n checks over every spelled class instead of one class
-per orbit, and Monte Carlo traces from an all-Haar construction and
-eigenvalues.
+per orbit, Haar unitaries from QR of a Ginibre matrix instead of drawn reflectors,
+the reflectors' product one dense factor at a time instead of by blocks, and Monte
+Carlo traces from an all-Haar construction and eigenvalues.
 """
 
 from __future__ import annotations
@@ -332,6 +333,45 @@ def dense_cmv(m: int, rng):
     return c
 
 
+def qr_haar_unitary(m: int, rng):
+    """A Haar m x m unitary as the QR unitary factor of a complex Ginibre matrix (real
+    parts drawn first, then imaginary parts), with its column phases fixed so that
+    the triangular factor has a positive real diagonal (Mezzadri, Notices AMS 54,
+    2007).  It shares no code with ``rmt.haar_unitary``."""
+    import numpy as np
+
+    z = np.empty((m, m), dtype=complex)
+    while True:
+        z.real, z.imag = rng.standard_normal((2, m, m))
+        q, r = np.linalg.qr(z)
+        d = np.diagonal(r)
+        if np.all(np.abs(d) > 0) and np.all(np.isfinite(q)):
+            return q * (d / np.abs(d))
+
+
+def householder_product(m: int, rng):
+    """``rmt.haar_unitary`` for the same draws, one dense reflector at a time: source
+    x_j takes the next m - j complex entries of m (m + 1) normals, and
+    H_j = I - tau_j v_j v_j* with v_j = x_j - alpha_j e_j, alpha_j = -(x_j0 / |x_j0|) ||x_j||
+    and 1/tau_j = ||x_j|| (||x_j|| + |x_j0|).  Returns H_0 ... H_{m-1} with column j
+    times alpha_j / |alpha_j|."""
+    import numpy as np
+
+    sources = rng.standard_normal(m * (m + 1)).view(complex)
+    u = np.eye(m, dtype=complex)
+    for j in range(m):
+        x, sources = sources[: m - j], sources[m - j:]
+        norm = np.sqrt(np.sum(np.abs(x) ** 2))
+        alpha = -(x[0] / abs(x[0])) * norm
+        v = np.zeros(m, dtype=complex)
+        v[j:] = x
+        v[j] -= alpha
+        tau = 1 / (norm * (norm + abs(x[0])))
+        u = u @ (np.eye(m) - tau * np.outer(v, v.conj()))
+        u[:, j] *= alpha / abs(alpha)  # H_(j+1).. leave column j alone
+    return u
+
+
 def trial_unitaries(cfg, rng):
     """One trial's U_1, ..., U_N as dense matrices, drawn in the order of
     ``rmt._trial_sum``: the CMV factor, then N - 1 Haar unitaries."""
@@ -343,10 +383,9 @@ def trial_unitaries(cfg, rng):
 
 def haar_sample_traces(cfg):
     """Tr(X^p) per trial, p = 1..max_power, with every U_i a dense Haar matrix drawn
-    from the trial's own child stream and the traces summed from eigenvalues."""
+    by ``qr_haar_unitary`` from the trial's own child stream and the traces summed
+    from eigenvalues."""
     import numpy as np
-
-    from freecycle import haar_unitary
 
     m = cfg.matrix_size
     powers = np.arange(1, cfg.max_power + 1)
@@ -356,7 +395,7 @@ def haar_sample_traces(cfg):
         rng = np.random.default_rng(streams[t])
         x = np.zeros((m, m), dtype=complex)
         for _ in range(cfg.alphabet_size):
-            u = haar_unitary(m, rng)
+            u = qr_haar_unitary(m, rng)
             x += u + u.conj().T
         eig = np.linalg.eigvalsh(x)
         traces[t] = np.sum(eig[:, None] ** powers, axis=0)

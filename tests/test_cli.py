@@ -139,6 +139,28 @@ def test_unprintable_answer_refused_before_computing(
     assert (code, out) == (2, "") and "more than 640 digits" in err
 
 
+@pytest.mark.parametrize(
+    "basis",
+    [[], ["--basis", "recurrence"], ["--basis", "recurrence", "--r1", "one"]],
+    ids=["triangle", "recurrence", "one-seeded"],
+)
+def test_unprintable_polynomial_refused_before_computing(capsys, monkeypatch, int_digits_640, basis):
+    import freecycle.polynomials
+
+    # at N = 10^6 the largest coefficient has 639 digits at degree 203 and 644 at 204
+    code, out, _ = run(capsys, "poly", "--len", "203", "--gens", "1000000", *basis, "--json")
+    assert code == 0 and max(map(abs, json.loads(out)["coefficients"])) >= 10**638
+
+    def refuse(*args):
+        raise AssertionError("computed a polynomial too long to print")
+
+    for name in ("fluctuation_poly", "fluctuation_poly_recurrence"):
+        monkeypatch.setattr(freecycle.polynomials, name, refuse)
+    code, out, err = run(capsys, "poly", "--len", "204", "--gens", "1000000", *basis)
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1
+    assert "more than 640 digits" in err
+
+
 def test_census_text_json_csv(capsys, tmp_path):
     code, out, _ = run(capsys, "census", "--len", "3", "--gens", "1")
     assert code == 0

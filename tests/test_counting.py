@@ -146,6 +146,9 @@ class TestCensus:
             census(30, 2, budget=10**6)
         with pytest.raises(BudgetExceededError, match="more than 10"):  # too long to print
             census(20000, 2)
+        # so is a budget of 10^4300, and the count is not compared with it digit by digit
+        with pytest.raises(BudgetExceededError, match=r"more than 10\^12045 word-steps"):
+            census(20000, 2, budget=10**4300)
 
     def test_no_result_is_kept(self, monkeypatch):
         calls = []

@@ -28,6 +28,8 @@ from oracles import (
     cyclically_reduced_count,
     dense_cmv,
     haar_sample_traces,
+    householder_product,
+    qr_haar_unitary,
     second_order_limits,
     trace_by_matrix_powers,
     trial_unitaries,
@@ -36,6 +38,7 @@ from oracles import (
 LAW_SEED = 1994
 LAW_TRIALS = 10_000
 SAME_LAW_TRIALS = 8_000
+HAAR_TWO_SAMPLE_TRIALS = 5_000
 Z_BOUND = 4.0
 
 
@@ -71,6 +74,42 @@ class TestHaarUnitary:
         values = [abs(haar_unitary(4, rng)[0, 0]) ** 2 for _ in range(10_000)]
         se = math.sqrt(3 / 80 / 10_000)
         assert abs(np.mean(values) - 0.25) <= 3 * se
+
+    @pytest.mark.parametrize("m", [1, 2, 31, 32, 33, 65, 200])  # one, partial and full blocks
+    def test_equals_product_of_its_reflectors(self, m):
+        u = haar_unitary(m, np.random.default_rng([7, m]))
+        assert np.max(np.abs(u - householder_product(m, np.random.default_rng([7, m])))) <= 1e-12
+
+    def test_zero_source_entry_is_drawn_again(self):
+        class FirstDrawZero:  # x_00 = 0 in the first draw only
+            def __init__(self):
+                self.rng, self.draws = np.random.default_rng(9), 0
+
+            def standard_normal(self, size):
+                self.draws += 1
+                out = self.rng.standard_normal(size)
+                out[:2] *= self.draws > 1
+                return out
+
+        rng = FirstDrawZero()
+        u = haar_unitary(3, rng)
+        assert rng.draws == 2
+        skipped = np.random.default_rng(9)
+        skipped.standard_normal(12)
+        assert np.array_equal(u, haar_unitary(3, skipped))
+
+    @pytest.mark.parametrize("m", [2, 5])
+    def test_same_law_as_qr_sampler(self, m):
+        # two-sample z of |U_11|^2, |U_mm|^2, Re U_11 and |Tr U|^2 against QR of Ginibre
+        def statistics(sampler, seed):
+            rng = np.random.default_rng([seed, m])
+            us = np.array([sampler(m, rng) for _ in range(HAAR_TWO_SAMPLE_TRIALS)])
+            tr = np.trace(us, axis1=1, axis2=2)
+            return np.abs(us[:, 0, 0]) ** 2, np.abs(us[:, -1, -1]) ** 2, us[:, 0, 0].real, np.abs(tr) ** 2
+
+        for a, b in zip(statistics(haar_unitary, 500), statistics(qr_haar_unitary, 600)):
+            se = math.sqrt((a.var(ddof=1) + b.var(ddof=1)) / HAAR_TWO_SAMPLE_TRIALS)
+            assert abs(a.mean() - b.mean()) <= Z_BOUND * se, (a.mean(), b.mean())
 
 
 class TestFiniteSizeLaw:

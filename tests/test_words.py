@@ -20,6 +20,7 @@ from freecycle import (
     rotate,
     standard_cyclic_reduction,
     standard_decomposition,
+    word,
     word_to_text,
 )
 from freecycle import pairings, words
@@ -80,6 +81,17 @@ class TestParse:
             Word(0, ())
         with pytest.raises(ValueError):
             parse_word("[3]", 2)
+
+    def test_letters_must_be_int(self):
+        import numpy as np
+
+        # each is refused by the first letter that is not an int; all of them equal valid ints
+        for letters, bad in (([1.5, -1.5, True, 2.0], 1.5), ([1, True], True),
+                             ([2, -1, 2.0], 2.0), ([1, np.int64(2)], np.int64(2))):
+            with pytest.raises(TypeError) as info:
+                word(letters, 2)
+            assert str(info.value) == f"letter {bad!r} is not an int"
+        assert str(word([1, -2, 2], 2)) == "aBb"
 
     def test_large_alphabet_round_trip(self):
         w = Word(30, (29, -30, 1))
