@@ -144,7 +144,9 @@ def test_unprintable_answer_refused_before_computing(
     [[], ["--basis", "recurrence"], ["--basis", "recurrence", "--r1", "one"]],
     ids=["triangle", "recurrence", "one-seeded"],
 )
-def test_unprintable_polynomial_refused_before_computing(capsys, monkeypatch, int_digits_640, basis):
+def test_unprintable_polynomial_refused_before_computing(
+    capsys, monkeypatch, int_digits_640, basis
+):
     import freecycle.polynomials
 
     # at N = 10^6 the largest coefficient has 639 digits at degree 203 and 644 at 204

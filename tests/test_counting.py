@@ -146,7 +146,7 @@ class TestCensus:
             census(30, 2, budget=10**6)
         with pytest.raises(BudgetExceededError, match="more than 10"):  # too long to print
             census(20000, 2)
-        # so is a budget of 10^4300, and the count is not compared with it digit by digit
+        # and so is a budget too long to print, rather than raising Python's int-to-text error
         with pytest.raises(BudgetExceededError, match=r"more than 10\^12045 word-steps"):
             census(20000, 2, budget=10**4300)
 

@@ -85,7 +85,7 @@ class TestParse:
     def test_letters_must_be_int(self):
         import numpy as np
 
-        # each is refused by the first letter that is not an int; all of them equal valid ints
+        # refused at the first letter that is not an int, though True, 2.0 and np.int64(2) equal valid ones
         for letters, bad in (([1.5, -1.5, True, 2.0], 1.5), ([1, True], True),
                              ([2, -1, 2.0], 2.0), ([1, np.int64(2)], np.int64(2))):
             with pytest.raises(TypeError) as info:
