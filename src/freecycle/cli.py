@@ -80,8 +80,7 @@ def cmd_decompose(args) -> Output:
 def cmd_pairing(args) -> Output:
     w = _word_of(args)
     p = pairings.admissible_half_pairing(w)
-    # The standard reduction is the letters at the through strings, in index order.
-    reduction = words.Word(w.alphabet_size, tuple(w.letters[i - 1] for i in sorted(p.singletons)))
+    reduction = pairings.standard_cyclic_reduction(w)  # the letters at p's through strings
     payload = {"word": str(w), "k": len(reduction), "standard_reduction": str(reduction)}
     text = f"k={len(reduction)} standard_reduction={_show(reduction)}\n"
     text += pairings.render_half_pairing(p)

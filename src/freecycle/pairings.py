@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations
 from typing import Iterable, Mapping
 
-from .words import Word, _good_rotations, _is_good, _reduce_with_partners, is_cyclically_reduced
+from .words import (
+    Word, _is_good, _pass, _reduce_with_partners, _rotations, _subword, is_cyclically_reduced,
+)
 
 OUT = "out"
 IN = "in"
@@ -183,15 +185,19 @@ def admissible_half_pairing(w: Word, rotation: int | None = None) -> HalfPairing
     n = len(w.letters)
     if n == 0:
         raise ValueError("the empty word has no half-pairing")
+    letters = w.letters
     start = rotation % n if rotation else 0
-    letters = w.letters[start:] + w.letters[:start]
-    survivors, partner = _reduce_with_partners(letters)
+    if start:  # another rotation is another sequence, with a pass of its own
+        letters = letters[start:] + letters[:start]
+        survivors, partner = _reduce_with_partners(letters)
+    else:
+        survivors, partner = _pass(w)
     if not survivors:
         raise ValueError("word reduces to the identity; no half-pairing exists")
     if not _is_good(letters, survivors):
         if rotation is not None:
             raise ValueError(f"rotation {start} does not have good reduction")
-        start = _good_rotations(letters, survivors, partner)[0]
+        start = _rotations(w)[0]  # letters are still w's own: start was 0
         survivors, partner = _reduce_with_partners(letters[start:] + letters[:start])
     # Valid by construction: t pops the top of the stack, so every position pushed between
     # its partner i and t was popped before t.  Chords therefore nest without crossing, and
@@ -212,8 +218,7 @@ def standard_cyclic_reduction(w: Word) -> Word:
     to the empty word by convention.
     """
     letters = w.letters
-    rotations = _good_rotations(letters, *_reduce_with_partners(letters))
-    return Word(w.alphabet_size, tuple(letters[r] for r in rotations))
+    return _subword(w, tuple([letters[r] for r in _rotations(w)]))
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,20 @@ class Word:
             raise ValueError("cannot concatenate words over different alphabets")
         return Word(self.alphabet_size, self.letters + other.letters)
 
+    def __reduce__(self):
+        # pickle and copy carry the fields, not the kernel pass kept in __dict__ (_pass)
+        return Word, (self.alphabet_size, self.letters)
+
+
+def _subword(w: Word, letters: tuple[int, ...]) -> Word:
+    """A Word over w's alphabet of letters taken from w, or their inverses: valid
+    by construction, so made without ``__post_init__``'s letter check."""
+    sub = object.__new__(Word)
+    kept = sub.__dict__
+    kept["alphabet_size"] = w.alphabet_size
+    kept["letters"] = letters
+    return sub
+
 
 def word(letters: Iterable[int], alphabet_size: int) -> Word:
     """Build a Word from signed generator indices."""
@@ -86,7 +100,7 @@ def word_to_text(w: Word) -> str:
 
 def invert(w: Word) -> Word:
     """Reverse the string and invert each letter, with no reduction."""
-    return Word(w.alphabet_size, tuple(-l for l in reversed(w.letters)))
+    return _subword(w, tuple([-l for l in reversed(w.letters)]))
 
 
 def rotate(w: Word, r: int) -> Word:
@@ -94,7 +108,7 @@ def rotate(w: Word, r: int) -> Word:
     if len(w.letters) == 0:
         return w
     r %= len(w.letters)
-    return Word(w.alphabet_size, w.letters[r:] + w.letters[:r])
+    return _subword(w, w.letters[r:] + w.letters[:r])
 
 
 def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -107,7 +121,9 @@ def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int
     the first survivor is pushed and never after, so its position is the
     length of the longest prefix reducing to 1 (all letters if none survive),
     and the word has good reduction iff position 0 survives and does not
-    cancel the last survivor.  Every reduction in this module reads this pass.
+    cancel the last survivor.  Every reduction in this module reads this pass;
+    a Word runs it over its own letters once (``_pass``), and only rotations,
+    powers and windows of a word run it again.
     """
     stack: list[int] = []
     partner = [-1] * len(letters)
@@ -124,10 +140,43 @@ def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int
     return stack, partner
 
 
-def _reduce(letters: tuple[int, ...]) -> list[int]:
+# A Word is immutable, so the pass over its letters, the height walk and the good
+# rotations are made on first use and kept in its __dict__; the fields alone make
+# ==, hash, repr and pickle.  The kept lists are read, never handed out: a public
+# function returns a copy or a tuple.
+def _pass(w: Word) -> tuple[list[int], list[int]]:
+    """``_reduce_with_partners(w.letters)``, run once per Word."""
+    kept = w.__dict__
+    kernel = kept.get("_pass")
+    if kernel is None:
+        kernel = kept["_pass"] = _reduce_with_partners(w.letters)
+    return kernel
+
+
+def _walk(w: Word) -> tuple[list[int], int, int]:
+    """``_heights`` of w's own pass, walked once per Word; w must not reduce to 1."""
+    kept = w.__dict__
+    walk = kept.get("_walk")
+    if walk is None:
+        walk = kept["_walk"] = _heights(w.letters, *_pass(w))
+    return walk
+
+
+def _rotations(w: Word) -> list[int]:
+    """``_good_rotations`` of w's own pass, found once per Word."""
+    kept = w.__dict__
+    good = kept.get("_good")
+    if good is None:
+        survivors = _pass(w)[0]
+        good = survivors if not survivors or _is_good(w.letters, survivors) else _records(*_walk(w))
+        kept["_good"] = good
+    return good
+
+
+def _reduced(w: Word) -> list[int]:
     """The letters that survive linear reduction."""
-    survivors, _ = _reduce_with_partners(letters)
-    return [letters[i] for i in survivors]
+    letters = w.letters
+    return [letters[i] for i in _pass(w)[0]]
 
 
 def _is_good(letters: tuple[int, ...], survivors: list[int]) -> bool:
@@ -137,7 +186,7 @@ def _is_good(letters: tuple[int, ...], survivors: list[int]) -> bool:
 
 def linear_reduce(w: Word) -> Word:
     """The unique linearly reduced word obtained by cancelling adjacent inverse pairs."""
-    return Word(w.alphabet_size, tuple(_reduce(w.letters)))
+    return _subword(w, tuple(_reduced(w)))
 
 
 def cyclic_reduce(w: Word) -> Word:
@@ -146,17 +195,17 @@ def cyclic_reduce(w: Word) -> Word:
     The result is cyclically reduced; its length is the same for every
     rotation of ``w``, even though the resulting word may differ by a rotation.
     """
-    reduced = _reduce(w.letters)
+    reduced = _reduced(w)
     lo, hi = 0, len(reduced)
     while hi - lo >= 2 and reduced[lo] == -reduced[hi - 1]:
         lo += 1
         hi -= 1
-    return Word(w.alphabet_size, tuple(reduced[lo:hi]))
+    return _subword(w, tuple(reduced[lo:hi]))
 
 
 def is_reducible_to_one(w: Word) -> bool:
     """True iff the word reduces linearly (equivalently cyclically) to the identity."""
-    return not _reduce_with_partners(w.letters)[0]
+    return not _pass(w)[0]
 
 
 def is_linearly_reduced(w: Word) -> bool:
@@ -175,7 +224,7 @@ def has_good_reduction(w: Word) -> bool:
     """True iff no prefix reduces to the identity and the linear reduction is cyclically reduced."""
     if not w.letters:
         raise ValueError("good reduction is undefined for the empty word")
-    return _is_good(w.letters, _reduce_with_partners(w.letters)[0])
+    return _is_good(w.letters, _pass(w)[0])
 
 
 def _heights(
@@ -213,21 +262,25 @@ def _heights(
     return h, j, k
 
 
-def _good_rotations(
-    letters: tuple[int, ...], survivors: list[int], partner: list[int]
-) -> list[int]:
-    """Ascending good rotations: rotation 0's survivors if it is good (through
-    strings), else the right-to-left records of ``_heights`` above max(h) - k."""
-    if not survivors or _is_good(letters, survivors):
-        return survivors
-    h, _, k = _heights(letters, survivors, partner)
+def _records(h: list[int], j: int, k: int) -> list[int]:
+    """Ascending right-to-left records of the heights ``h`` above max(h) - k."""
     top = max(h) - k
     good = []
-    for t in range(len(letters) - 1, -1, -1):
+    for t in range(len(h) - 1, -1, -1):
         if h[t] > top:
             good.append(t)
             top = h[t]
     return good[::-1]
+
+
+def _good_rotations(
+    letters: tuple[int, ...], survivors: list[int], partner: list[int]
+) -> list[int]:
+    """Ascending good rotations: rotation 0's survivors if it is good (through
+    strings), else the records of ``_heights``."""
+    if not survivors or _is_good(letters, survivors):
+        return survivors
+    return _records(*_heights(letters, survivors, partner))
 
 
 def good_rotations(w: Word) -> list[int]:
@@ -239,7 +292,7 @@ def good_rotations(w: Word) -> list[int]:
     """
     if not w.letters:
         raise ValueError("good rotations are undefined for the empty word")
-    return _good_rotations(w.letters, *_reduce_with_partners(w.letters))
+    return list(_rotations(w))
 
 
 @dataclass(frozen=True)
@@ -294,10 +347,10 @@ def reduction_profile(w: Word, horizon: int | None = None) -> ReductionProfile:
     if not w.letters:
         raise ValueError("profile is undefined for the empty word")
     letters, n = w.letters, len(w.letters)
-    survivors, partner = _reduce_with_partners(letters)
+    survivors, partner = _pass(w)
     if not survivors:
         raise ValueError("profile requires a word that does not reduce to the identity")
-    h, j, k = _heights(letters, survivors, partner)
+    h, j, k = _walk(w)
     if horizon is None:
         horizon = default_profile_horizon(n, k)
     minimum = periodicity_bound(n, k) + n
@@ -341,10 +394,10 @@ class Decomposition:
         return self.prefix + self.core + self.suffix
 
 
-def _max_reducible_prefix(letters: tuple[int, ...]) -> int:
-    """Length of the longest prefix that reduces to the identity (0 if none)."""
-    survivors, _ = _reduce_with_partners(letters)
-    return survivors[0] if survivors else len(letters)
+def _max_reducible_prefix(survivors: list[int], n: int) -> int:
+    """Length of the longest prefix that reduces to the identity (0 if none) of
+    n letters whose kernel pass left ``survivors``."""
+    return survivors[0] if survivors else n
 
 
 def standard_decomposition(w: Word) -> Decomposition:
@@ -361,17 +414,19 @@ def standard_decomposition(w: Word) -> Decomposition:
             lo += 1
             hi -= 1
             continue
-        p = _max_reducible_prefix(letters[lo:hi])
+        window = letters[lo:hi]
+        # only the first window can be the whole word, whose pass w keeps
+        first = _pass(w) if hi - lo == len(letters) else _reduce_with_partners(window)
+        p = _max_reducible_prefix(first[0], hi - lo)
         if p:
             lo += p
             continue
-        s = _max_reducible_prefix(letters[lo:hi][::-1])  # the inverse, relabelled a -> a^-1
+        # the inverse, relabelled a -> a^-1
+        s = _max_reducible_prefix(_reduce_with_partners(window[::-1])[0], hi - lo)
         if s:
             hi -= s
             continue
         break
     return Decomposition(
-        Word(w.alphabet_size, letters[:lo]),
-        Word(w.alphabet_size, letters[lo:hi]),
-        Word(w.alphabet_size, letters[hi:]),
+        _subword(w, letters[:lo]), _subword(w, letters[lo:hi]), _subword(w, letters[hi:])
     )

@@ -30,7 +30,8 @@ from freecycle import (
     to_dots,
     word_to_text,
 )
-from freecycle import pairings
+from freecycle import pairings, words
+from freecycle.words import _reduce_with_partners
 
 from oracles import (
     brute_force_half_pairings,
@@ -302,6 +303,50 @@ class TestStandardCyclicReduction:
     def test_reads_oracle_through_strings(self, w):
         singles = sorted(scan_half_pairing(w).singletons)
         assert standard_cyclic_reduction(w).letters == tuple(w.letters[i - 1] for i in singles)
+
+
+class TestKeptPass:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        passes = []
+
+        def counted(letters):
+            passes.append(letters)
+            return _reduce_with_partners(letters)
+
+        monkeypatch.setattr(words, "_reduce_with_partners", counted)
+        monkeypatch.setattr(pairings, "_reduce_with_partners", counted)
+        return passes
+
+    def test_second_call_runs_no_pass(self, passes):
+        for text, gens in (("aaaAA", 1), ("AbBABa", 2), ("aAaaa", 1), ("abaBAAB", 2)):
+            w = parse_word(text, gens)
+            passes.clear()
+            reduction = standard_cyclic_reduction(w)
+            assert passes == [w.letters]
+            passes.clear()
+            assert standard_cyclic_reduction(w) == reduction and passes == []
+            # the pairing reuses w's pass and good rotations; only a good rotation
+            # other than 0 has a pass of its own
+            p = admissible_half_pairing(w)
+            rotation = good_rotations(w)[0]
+            assert passes == ([] if rotation == 0 else [rotate(w, rotation).letters])
+            assert p == admissible_half_pairing(w, rotation=rotation) == scan_half_pairing(w)
+
+    def test_forced_rotation_leaves_the_word_alone(self):
+        # a pass over another rotation is not kept as w's own
+        for text, gens in (("aAaaa", 1), ("AbBABa", 2), ("abaBAAB", 2)):
+            w, fresh = parse_word(text, gens), parse_word(text, gens)
+            good = good_rotations(fresh)
+            for r in range(len(w)):
+                if r in good:
+                    assert admissible_half_pairing(w, rotation=r) == admissible_half_pairing(fresh)
+                else:
+                    with pytest.raises(ValueError, match=f"rotation {r} does not have good"):
+                        admissible_half_pairing(w, rotation=r)
+            assert standard_cyclic_reduction(w) == standard_cyclic_reduction(fresh)
+            assert good_rotations(w) == good_rotations(fresh)
+            assert admissible_half_pairing(w) == admissible_half_pairing(fresh)
 
 
 class TestDotDiagrams:

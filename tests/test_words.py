@@ -24,6 +24,8 @@ from freecycle import (
     word_to_text,
 )
 from freecycle import pairings, words
+import copy
+import pickle
 from freecycle.words import MAX_PROFILE_HORIZON, _reduce_with_partners, periodicity_bound
 
 from oracles import (
@@ -275,13 +277,14 @@ class TestGoodRotations:
 
         monkeypatch.setattr(words, "_reduce_with_partners", counted)
         monkeypatch.setattr(pairings, "_reduce_with_partners", counted)
-        good, bad = parse_word("aaaAA", 1), parse_word("aAaaa", 1)
+        # a fresh Word each call, since a Word keeps its own pass (TestKeptPass)
+        good, bad = (lambda: parse_word("aaaAA", 1)), (lambda: parse_word("aAaaa", 1))
         for call, expected in (
-            (lambda: good_rotations(bad), 1),
-            (lambda: standard_cyclic_reduction(bad), 1),
-            (lambda: admissible_half_pairing(good), 1),
-            (lambda: admissible_half_pairing(bad, rotation=2), 1),
-            (lambda: admissible_half_pairing(bad), 2),
+            (lambda: good_rotations(bad()), 1),
+            (lambda: standard_cyclic_reduction(bad()), 1),
+            (lambda: admissible_half_pairing(good()), 1),
+            (lambda: admissible_half_pairing(bad(), rotation=2), 1),
+            (lambda: admissible_half_pairing(bad()), 2),
         ):
             passes.clear()
             call()
@@ -444,3 +447,140 @@ class TestStandardDecomposition:
             for i in range(1, len(core) + 1):
                 assert not is_reducible_to_one(Word(w.alphabet_size, core[:i]))
                 assert not is_reducible_to_one(Word(w.alphabet_size, core[-i:]))
+
+
+KERNELS = (
+    linear_reduce,
+    cyclic_reduce,
+    is_reducible_to_one,
+    has_good_reduction,
+    good_rotations,
+    reduction_profile,
+    standard_decomposition,
+    admissible_half_pairing,
+    standard_cyclic_reduction,
+)
+# What a Word keeps (the pass, the height walk, the good rotations) depends only
+# on which of these ran on it before, and in which order: nothing, the pass
+# alone, or the walk and the good rotations on top of it in either order.
+HISTORIES = (
+    (),
+    (linear_reduce,),
+    (reduction_profile,),
+    (good_rotations,),
+    (reduction_profile, good_rotations),
+    (good_rotations, reduction_profile),
+)
+# every kernel right after every history, each then followed by the rest
+ORDERS = [h + (k,) + tuple(x for x in KERNELS if x is not k) for h in HISTORIES for k in KERNELS]
+
+
+def outcome(kernel, w):
+    try:
+        return kernel(w)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def counted_passes(monkeypatch) -> list:
+    passes = []
+
+    def counted(letters):
+        passes.append(letters)
+        return _reduce_with_partners(letters)
+
+    monkeypatch.setattr(words, "_reduce_with_partners", counted)
+    monkeypatch.setattr(pairings, "_reduce_with_partners", counted)
+    return passes
+
+
+class TestKeptPass:
+    def check_orders(self, n_gens, letters, orders):
+        fresh = {k: outcome(k, Word(n_gens, letters)) for k in KERNELS}
+        for order in orders:
+            w = Word(n_gens, letters)
+            for k in order:
+                assert outcome(k, w) == fresh[k], (letters, [x.__name__ for x in order], k.__name__)
+
+    def test_every_order_equals_a_fresh_word_exhaustive(self):
+        # word i runs the kernels in order i mod len(ORDERS), so every kernel after
+        # every history meets words of every length
+        i = 0
+        for n_gens, max_len in ((1, 12), (2, 8)):
+            alphabet = [s * g for g in range(1, n_gens + 1) for s in (1, -1)]
+            for n in range(max_len + 1):
+                for letters in product(alphabet, repeat=n):
+                    self.check_orders(n_gens, letters, [ORDERS[i % len(ORDERS)]])
+                    i += 1
+
+    def test_every_order_on_long_bad_rotations(self):
+        # c^-m c^(m+1) and its rotations: every order in full
+        for m in (3, 40):
+            for c in ((1,), (1, 2)):
+                letters = tuple(-l for l in reversed(c)) * m + c * (m + 1)
+                for r in range(0, len(letters), 1 if m == 3 else 20):
+                    self.check_orders(len(c), letters[r:] + letters[:r], ORDERS)
+
+    def test_second_call_runs_only_passes_over_other_sequences(self, monkeypatch):
+        passes = counted_passes(monkeypatch)
+        # good and bad at rotation 0, a decomposition in two windows, ends that
+        # cancel, reducible to 1, and a profile whose transient is w^2
+        words_ = [("aab", 2), ("aAaab", 2), ("aaaAA", 1), ("aAaaa", 1), ("aAbB", 2),
+                  ("abAB", 2), ("aAA", 1)]
+        rerun = {}
+        for text, n_gens in words_:
+            for k in KERNELS:
+                w = parse_word(text, n_gens)
+                passes.clear()
+                outcome(k, w)
+                first = list(passes)
+                # one pass over w's letters, or none where the decomposition strips an end pair
+                strips = k is standard_decomposition and text[0] == text[-1].swapcase()
+                assert first.count(w.letters) == (not strips), (text, k.__name__)
+                passes.clear()
+                outcome(k, w)
+                assert passes == [p for p in first if p != w.letters], (text, k.__name__)
+                rerun[text, k] = len(passes)
+        for (text, k), count in rerun.items():
+            if k not in (standard_decomposition, admissible_half_pairing, reduction_profile):
+                assert count == 0, (text, k.__name__)
+        assert rerun["aaaAA", admissible_half_pairing] == 0  # good at rotation 0
+        assert rerun["aAaaa", admissible_half_pairing] == 1  # the good rotation's own pass
+        assert rerun["aAbB", standard_decomposition] == 0  # the whole word reduces to 1
+        assert rerun["aAA", reduction_profile] == 1  # the pass over w^q0, q0 = 2
+
+    def test_returned_rotations_are_copies(self):
+        w = parse_word("aaAbbBAA", 2)
+        good = good_rotations(w)
+        good.append(99)
+        good[0] = -1
+        assert good_rotations(w) == [2, 3]
+        assert standard_cyclic_reduction(w) == standard_cyclic_reduction(parse_word("aaAbbBAA", 2))
+        w = parse_word("aab", 2)  # good at rotation 0: its good rotations are its pass's survivors
+        good_rotations(w).clear()
+        assert good_rotations(w) == [0, 1, 2] and linear_reduce(w) == w
+
+    def test_equality_hash_and_pickle_ignore_the_kept_pass(self):
+        kept, fresh = parse_word("aAaaa", 1), parse_word("aAaaa", 1)
+        for k in KERNELS:
+            k(kept)
+        assert kept.__dict__.keys() > fresh.__dict__.keys()
+        assert kept == fresh and hash(kept) == hash(fresh) and repr(kept) == repr(fresh)
+        assert pickle.dumps(kept) == pickle.dumps(fresh)
+        for back in (pickle.loads(pickle.dumps(kept)), copy.copy(kept), copy.deepcopy(kept)):
+            assert back == kept and hash(back) == hash(kept)
+            assert back.__dict__ == fresh.__dict__
+        assert good_rotations(back) == good_rotations(kept)
+
+    def test_kernel_words_equal_checked_words(self):
+        # kernel outputs skip the letter check, since their letters come from w
+        for w in all_words(5, 2):
+            d = standard_decomposition(w)
+            outputs = [linear_reduce(w), cyclic_reduce(w), standard_cyclic_reduction(w),
+                       invert(w), rotate(w, 1), d.prefix, d.core, d.suffix]
+            for out in outputs:
+                checked = Word(out.alphabet_size, out.letters)
+                assert out == checked and hash(out) == hash(checked)
+                fields = {k: v for k, v in vars(out).items() if not k.startswith("_")}
+                assert fields == vars(checked) and type(out) is Word
+                assert pickle.dumps(out) == pickle.dumps(checked)
