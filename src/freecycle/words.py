@@ -46,17 +46,21 @@ class Word:
         return Word(self.alphabet_size, self.letters + other.letters)
 
     def __reduce__(self):
-        # pickle and copy carry the fields, not the kernel pass kept in __dict__ (_pass)
+        # pickle and copy carry the fields, not the kernel pass kept as _kept (_kernel)
         return Word, (self.alphabet_size, self.letters)
+
+
+# Sets an attribute of a frozen Word without asking for its __dict__, which on
+# CPython 3.11 would make a dict object of the instance's inline values.
+_set = object.__setattr__
 
 
 def _subword(w: Word, letters: tuple[int, ...]) -> Word:
     """A Word over w's alphabet of letters taken from w, or their inverses: valid
     by construction, so made without ``__post_init__``'s letter check."""
     sub = object.__new__(Word)
-    kept = sub.__dict__
-    kept["alphabet_size"] = w.alphabet_size
-    kept["letters"] = letters
+    _set(sub, "alphabet_size", w.alphabet_size)
+    _set(sub, "letters", letters)
     return sub
 
 
@@ -141,36 +145,44 @@ def _reduce_with_partners(letters: tuple[int, ...]) -> tuple[list[int], list[int
 
 
 # A Word is immutable, so the pass over its letters, the height walk and the good
-# rotations are made on first use and kept in its __dict__; the fields alone make
-# ==, hash, repr and pickle.  The kept lists are read, never handed out: a public
-# function returns a copy or a tuple.
+# rotations are made on first use and kept in its __dict__, in one list under one
+# name: [survivors, partner, walk or None, good or None].  The fields alone make
+# ==, hash, repr and pickle.  One name, because once a class has many instances
+# CPython 3.11 shares only one more attribute name among them, and a Word with a
+# second gets a dict object of its own; one list, because each kept container is
+# more work for the garbage collector.  The kept lists are read, never handed
+# out: a public function returns a copy or a tuple.
+def _kernel(w: Word) -> list:
+    """The list that w keeps, made with ``_reduce_with_partners(w.letters)`` once per Word."""
+    kept = getattr(w, "_kept", None)
+    if kept is None:
+        kept = [*_reduce_with_partners(w.letters), None, None]
+        _set(w, "_kept", kept)
+    return kept
+
+
 def _pass(w: Word) -> tuple[list[int], list[int]]:
     """``_reduce_with_partners(w.letters)``, run once per Word."""
-    kept = w.__dict__
-    kernel = kept.get("_pass")
-    if kernel is None:
-        kernel = kept["_pass"] = _reduce_with_partners(w.letters)
-    return kernel
+    kept = _kernel(w)
+    return kept[0], kept[1]
 
 
 def _walk(w: Word) -> tuple[list[int], int, int]:
     """``_heights`` of w's own pass, walked once per Word; w must not reduce to 1."""
-    kept = w.__dict__
-    walk = kept.get("_walk")
-    if walk is None:
-        walk = kept["_walk"] = _heights(w.letters, *_pass(w))
-    return walk
+    kept = _kernel(w)
+    if kept[2] is None:
+        kept[2] = _heights(w.letters, kept[0], kept[1])
+    return kept[2]
 
 
 def _rotations(w: Word) -> list[int]:
     """``_good_rotations`` of w's own pass, found once per Word."""
-    kept = w.__dict__
-    good = kept.get("_good")
-    if good is None:
-        survivors = _pass(w)[0]
-        good = survivors if not survivors or _is_good(w.letters, survivors) else _records(*_walk(w))
-        kept["_good"] = good
-    return good
+    kept = _kernel(w)
+    if kept[3] is None:
+        survivors = kept[0]
+        good = not survivors or _is_good(w.letters, survivors)
+        kept[3] = survivors if good else _records(*_walk(w))
+    return kept[3]
 
 
 def _reduced(w: Word) -> list[int]:

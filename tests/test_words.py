@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import chain, product
 
@@ -24,8 +26,6 @@ from freecycle import (
     word_to_text,
 )
 from freecycle import pairings, words
-import copy
-import pickle
 from freecycle.words import MAX_PROFILE_HORIZON, _reduce_with_partners, periodicity_bound
 
 from oracles import (
@@ -269,14 +269,7 @@ class TestGoodRotations:
             assert good_rotations(w) == naive_good_rotations(w)
 
     def test_kernel_passes_per_call(self, monkeypatch):
-        passes = []
-
-        def counted(letters):
-            passes.append(letters)
-            return _reduce_with_partners(letters)
-
-        monkeypatch.setattr(words, "_reduce_with_partners", counted)
-        monkeypatch.setattr(pairings, "_reduce_with_partners", counted)
+        passes = counted_passes(monkeypatch)
         # a fresh Word each call, since a Word keeps its own pass (TestKeptPass)
         good, bad = (lambda: parse_word("aaaAA", 1)), (lambda: parse_word("aAaaa", 1))
         for call, expected in (
@@ -460,9 +453,10 @@ KERNELS = (
     admissible_half_pairing,
     standard_cyclic_reduction,
 )
-# What a Word keeps (the pass, the height walk, the good rotations) depends only
-# on which of these ran on it before, and in which order: nothing, the pass
-# alone, or the walk and the good rotations on top of it in either order.
+# What a Word keeps is made by the kernels run on it before: nothing, the pass
+# alone (as linear_reduce leaves it), the pass and the height walk
+# (reduction_profile), the pass and the good rotations (good_rotations, with the
+# walk where rotation 0 is bad), or all three, the walk first or last.
 HISTORIES = (
     (),
     (linear_reduce,),
@@ -525,10 +519,10 @@ class TestKeptPass:
         passes = counted_passes(monkeypatch)
         # good and bad at rotation 0, a decomposition in two windows, ends that
         # cancel, reducible to 1, and a profile whose transient is w^2
-        words_ = [("aab", 2), ("aAaab", 2), ("aaaAA", 1), ("aAaaa", 1), ("aAbB", 2),
-                  ("abAB", 2), ("aAA", 1)]
+        cases = [("aab", 2), ("aAaab", 2), ("aaaAA", 1), ("aAaaa", 1), ("aAbB", 2),
+                 ("abAB", 2), ("aAA", 1)]
         rerun = {}
-        for text, n_gens in words_:
+        for text, n_gens in cases:
             for k in KERNELS:
                 w = parse_word(text, n_gens)
                 passes.clear()
